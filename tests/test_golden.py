@@ -1,0 +1,85 @@
+"""Golden outputs of the CLI.
+
+Pins the exit code and the sha256 of stdout of every command in the
+README's CLI block, plus the sha256 of every SVG those commands write.
+A few extra windows cover negative and non-integer window ends.  Any
+rewrite of the window, funnel or rendering code that changes one byte of
+output fails here.
+"""
+
+import hashlib
+import shlex
+from pathlib import Path
+
+import pytest
+
+from sternbrocot.cli import run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# (argv, exit code, sha256 of stdout, SVG file written, sha256 of the SVG)
+README_GOLDEN = [
+    (("eval", "[-1;2,3]"), 0,
+     "c2b2482374bb9652ca58b80afa1d6a96b91c76190875f0e22df3decd0107e86b", None, None),
+    (("expand", "2/7"), 0,
+     "90d55cea43b91496b3b9f0f1b600a127be00216057891fc6f02fe1040225fcd5", None, None),
+    (("funnel", "2/7"), 0,
+     "d5d5873027bc4c56694eab617969d37b74d5a5daeb8f1b2627c70eb18bb73d5b", None, None),
+    (("funnel", "2/7", "--json"), 0,
+     "20b013283b7d818a6b8f98d0fec3162b2aec949a5bd1fdad2d4991ffa96ed161", None, None),
+    (("funnel", "13/30", "--svg", "funnel.svg"), 0,
+     "03ce9f0c87619e6b3d26ed8a19deec8d4cd8c6f36241bbe15aa077c2a6e3880b",
+     "funnel.svg", "924fdb5850d565b6b8b63ccf535e447d19c0d85d6b68648b16ba678659aa9b47"),
+    (("lines", "[0;3,_,4]", "--range", "-5..5"), 0,
+     "1f909bac6b67bfb84236c1cf04493260f6a81e95b2e8335bafa1604f86827d90", None, None),
+    (("lines", "[0;3,_,4]", "--json"), 0,
+     "165bf9f01ec345c41df08ca41e14f52dd8ced02c6d6bea41a9614df2b07de8ed", None, None),
+    (("lines", "[0;3,_,4]", "--svg", "fam.svg"), 0,
+     "73bdab433dffe05efe011dfe9eceb6e0ee6c12eb1b5ef03155030972a12b5b84",
+     "fam.svg", "da4389d452246ebb930ac81a773cf28597df67175c58c981d4a3b5a9c68842a1"),
+    (("diagram", "--window", "0..1", "--max-denom", "60", "--svg", "diagram.svg"), 0,
+     "575b0e40418d979fb0b08c1b310725c14c1c40b00f8714e911ae9ffa42e3b913",
+     "diagram.svg", "80a496690d0c1d881bd8e4a4c9e9ee2d6928244b97e1152220ebf9505572d246"),
+    (("link", "canon", "5/7"), 0,
+     "f5292a71a50b9d06431b18907fcd1dfac8ccbbc44900e22b720de04bb5e7310a", None, None),
+    (("link", "eq", "3/7", "5/7"), 0,
+     "82318cd9ffcc16fc3ca438e47278ac8f9e30c523403bb7f62d0f57ccda975de4", None, None),
+]
+
+EXTRA_GOLDEN = [
+    (("diagram", "--window", "-7/3..-1/2", "--max-denom", "25", "--svg", "negative.svg"), 0,
+     "f81fd3236d6ea67b05df492efd06adbae97f5b5f7cd32f34119592f58da16ccf",
+     "negative.svg", "0a9b4a7a9be82177e12fb98d7268187c3f4a4cca47a41f2198dc9928c3b746a5"),
+    (("diagram", "--window", "-5/4..7/3", "--max-denom", "3", "--svg", "sparse.svg"), 0,
+     "ff0f127a694f3cc8872338e28d3e6a83b48444bdc1bc02233546950dc6aade00",
+     "sparse.svg", "98d052c2e8fa94252ec917587f6f6194bedf05702a1279203928b5236fc5b316"),
+    (("funnel", "--svg", "funnel-neg.svg", "--max-denom", "20", "--", "-4/7"), 0,
+     "f2ca2e5d5465c4fa8e1e1d8e9379f8be1dc110d754f8faf92d225c166f2db71f",
+     "funnel-neg.svg", "462722d88acae56bd9ecdce5e90f70d4c81ef63fd414e7f948a8734b779cadf2"),
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def readme_commands() -> list[tuple[str, ...]]:
+    block = README.read_text(encoding="utf-8").split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [tuple(shlex.split(line, comments=True)[1:]) for line in block.splitlines() if line.strip()]
+
+
+def test_golden_list_covers_the_readme_cli_block():
+    assert readme_commands() == [argv for argv, *_ in README_GOLDEN]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_sha, svg_name, svg_sha",
+    [pytest.param(*case, id=" ".join(case[0])) for case in README_GOLDEN + EXTRA_GOLDEN],
+)
+def test_cli_output_is_byte_identical(argv, code, stdout_sha, svg_name, svg_sha,
+                                      tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(list(argv)) == code
+    assert sha256(capsys.readouterr().out.encode()) == stdout_sha
+    if svg_name is not None:
+        assert sha256((tmp_path / svg_name).read_bytes()) == svg_sha
