@@ -4,8 +4,9 @@ All numeric output is exact rational text ("p/q", integers bare, "1/0");
 SVG files are the only place floats appear.  Runs are deterministic:
 identical arguments give byte-identical output.
 
-Exit codes: 0 success, 2 parse error, 3 domain error, 4 internal
-invariant violation (a failed theorem clause is an implementation bug).
+Exit codes: 0 success, 2 parse error or unusable argument (such as an
+SVG path that cannot be written), 3 domain error, 4 internal invariant
+violation (a failed theorem clause is an implementation bug).
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from .errors import DomainError, InvariantViolation, ParseError
 from .lines import LineFamily, line_family
 from .links import canonical_fraction, plat_diagram, schubert_equivalent
 from .rationals import ExtendedRational
+
+
+class UsageError(Exception):
+    """A well-formed argument the command cannot act on (exit code 2)."""
+
 
 _RANGE_RE = re.compile(r"\A(-?\d+)\.\.(-?\d+)\Z")
 _WINDOW_RE = re.compile(r"\A(.+?)\.\.(.+)\Z")
@@ -54,6 +60,24 @@ def _family_from_hole(text: str) -> LineFamily:
     # standard-valid placeholder so a concrete base sequence exists.
     terms[hole] = 2 if hole == len(terms) - 1 else 1
     return line_family(ContinuedFraction(tuple(terms)), hole)
+
+
+def _write_window_svg(
+    path: str,
+    lo: ExtendedRational,
+    hi: ExtendedRational,
+    max_den: int,
+    overlays: tuple[figures.Overlay, ...] | list[figures.Overlay] = (),
+) -> diagram.Diagram:
+    """Build the window [lo, hi], draw it with the overlays and write the SVG."""
+    d = diagram.build_diagram(lo, hi, max_den)
+    svg = figures.render_svg(d, overlays)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    return d
 
 
 def _hole_text(fam: LineFamily) -> str:
@@ -92,14 +116,8 @@ def _cmd_funnel(args) -> int:
         )
     elif args.svg:
         a0 = f.expansion.terms[0]
-        window = diagram.build_diagram(
-            ExtendedRational(a0),
-            ExtendedRational(a0 + 1),
-            max(args.max_denom, alpha.den),
-        )
-        svg = figures.render_svg(window, [figures.FunnelOverlay(f)])
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_window_svg(args.svg, ExtendedRational(a0), ExtendedRational(a0 + 1),
+                          max(args.max_denom, alpha.den), [figures.FunnelOverlay(f)])
         print(f"wrote {args.svg}")
     else:
         print(f"funnel of {f.alpha} = {f.expansion}")
@@ -152,10 +170,6 @@ def _cmd_lines(args) -> int:
             }
         )
     elif args.svg:
-        a0 = fam.shift
-        window = diagram.build_diagram(
-            ExtendedRational(a0), ExtendedRational(a0 + 1), args.max_denom
-        )
         overlays: list[figures.Overlay] = [
             figures.LineOverlay(plus),
             figures.LineOverlay(minus),
@@ -169,9 +183,8 @@ def _cmd_lines(args) -> int:
                     color="#d4a017",
                 )
             )
-        svg = figures.render_svg(window, overlays)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_window_svg(args.svg, ExtendedRational(fam.shift), ExtendedRational(fam.shift + 1),
+                          args.max_denom, overlays)
         print(f"wrote {args.svg}")
     else:
         print(f"family  {_hole_text(fam)}  (slot i={fam.slot})")
@@ -192,10 +205,7 @@ def _cmd_lines(args) -> int:
 
 def _cmd_diagram(args) -> int:
     lo, hi = _parse_window(args.window)
-    d = diagram.build_diagram(lo, hi, args.max_denom)
-    svg = figures.render_svg(d)
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    d = _write_window_svg(args.svg, lo, hi, args.max_denom)
     print(
         f"diagram [{d.lo}, {d.hi}] max_den={d.max_den}: "
         f"{len(d.vertices)} vertices, {len(d.edges)} edges, "
@@ -315,7 +325,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_merge_window_values(list(argv)))
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -2,9 +2,18 @@
 
 The diagram lives in the plane: the vertex for p/q is (p/q, 1/q), two
 vertices are joined exactly when their values form a Farey pair, and every
-Farey triple bounds a triangle.  Windows are generated by recursive mediant
-subdivision between consecutive integers (never by scanning denominators),
-which is complete because mediant denominators strictly increase.
+Farey triple bounds a triangle.  A window is built by one in-order
+traversal of the Stern-Brocot tree per unit interval [k, k+1], on plain
+integer pairs.  In-order traversal visits the vertices in increasing order
+(Graham-Knuth-Patashnik, "Concrete Mathematics", section 4.5).  The Farey
+neighbours of a vertex x to its right form a chain r_0, r_1, r_2, ...,
+where r_0 is x's right Farey parent and r_{j+1} is the mediant of x and
+r_j; the chain decreases towards x (Hatcher, "Topology of Numbers").  Read
+back from its last member within max_den, the chain gives x's edges in
+increasing order, and consecutive members give x's triangles
+(x, r_{j+1}, r_j) in increasing order too.  A window of V vertices and E
+edges thus costs O(V + E), plus the search paths down to its two ends,
+and sorts nothing.
 
 The funnel of a non-integer rational alpha is the strip of triangles the
 vertical ray {(alpha, t) : t > 0} passes through, ordered top to bottom;
@@ -30,7 +39,7 @@ from typing import Mapping
 
 from .contfrac import ContinuedFraction, convergents, evaluate, standard_expansion
 from .errors import DegenerateFunnelError, DomainError
-from .rationals import ExtendedRational, PlanePoint, vertex_point
+from .rationals import ExtendedRational
 
 Triangle = tuple[ExtendedRational, ExtendedRational, ExtendedRational]
 Edge = tuple[ExtendedRational, ExtendedRational]
@@ -48,19 +57,15 @@ class Diagram:
     edges: tuple[Edge, ...]
     triangles: tuple[Triangle, ...]
 
-    def vertex_points(self) -> tuple[PlanePoint, ...]:
-        return tuple(vertex_point(v) for v in self.vertices)
-
-
-def _sorted_edge(a: ExtendedRational, b: ExtendedRational) -> Edge:
-    return (a, b) if a < b else (b, a)
-
 
 def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
-    """Mediant-subdivide the integer intervals covering [lo, hi].
+    """Traverse the Stern-Brocot tree over each unit interval covering [lo, hi].
 
-    Pruning at denominators above max_den loses nothing: every vertex's
-    Stern-Brocot ancestors have strictly smaller denominators.
+    Vertices come out in increasing order, edges (a, b) with a < b and
+    triangles (x, m, y) with x < m < y in lexicographic order.  Pruning
+    at denominators above max_den loses nothing: every vertex's
+    Stern-Brocot ancestors have strictly smaller denominators.  Neither
+    does skipping intervals that lie wholly outside the window.
     """
     if lo.is_infinite or hi.is_infinite:
         raise DomainError("diagram windows must be finite")
@@ -69,50 +74,81 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
     if max_den < 1:
         raise DomainError("max_den must be positive")
 
-    def in_window(v: ExtendedRational) -> bool:
-        return lo <= v <= hi
+    lo_p, lo_q, hi_p, hi_q = lo.num, lo.den, hi.num, hi.den
+    vertices: list[ExtendedRational] = []
+    edges: list[Edge] = []
+    triangles: list[Triangle] = []
+    # One object per vertex, shared by its edges and triangles.  A vertex
+    # is met first as a right neighbour of a smaller one; once visited it
+    # is never met again.
+    pending: dict[tuple[int, int], ExtendedRational] = {}
 
-    vertices: set[ExtendedRational] = set()
-    edges: set[Edge] = set()
-    triangles: set[Triangle] = set()
+    def rational(p: int, q: int) -> ExtendedRational:
+        v = pending.get((p, q))
+        if v is None:
+            v = pending[p, q] = ExtendedRational(p, q)
+        return v
+
+    def visit(p: int, q: int, rp: int, rq: int) -> None:
+        """Emit vertex p/q, whose right Farey parent is rp/rq, if it lies in
+        the window, with its edges and triangles towards larger values."""
+        if p * lo_q < lo_p * q or p * hi_q > hi_p * q:
+            return
+        x = pending.pop((p, q), None)
+        if x is None:
+            x = ExtendedRational(p, q)
+        vertices.append(x)
+        # As integer pairs the right neighbours are r_j = r_0 + j*x.  Start
+        # at the smallest, the last with denominator within max_den, and
+        # step back towards r_0 while the values stay <= hi.
+        j = (max_den - rq) // q
+        sp, sq = rp + j * p, rq + j * q
+        if sp * hi_q > hi_p * sq:
+            return
+        s = rational(sp, sq)
+        edges.append((x, s))
+        while j:
+            j -= 1
+            tp, tq = sp - p, sq - q
+            if tp * hi_q > hi_p * tq:
+                return
+            t = rational(tp, tq)
+            edges.append((x, t))
+            triangles.append((x, s, t))
+            s, sp, sq = t, tp, tq
 
     k_lo = lo.floor()
     k_hi = -((-hi).floor())  # ceil
     for k in range(k_lo, k_hi):
-        a = ExtendedRational(k)
-        b = ExtendedRational(k + 1)
-        for v in (a, b):
-            if in_window(v):
-                vertices.add(v)
-        if in_window(a) and in_window(b):
-            edges.add((a, b))
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            if y <= lo or hi <= x:
-                continue
-            m = ExtendedRational(x.num + y.num, x.den + y.den)
-            if m.den > max_den:
-                continue
-            if in_window(m):
-                vertices.add(m)
-            if in_window(x) and in_window(m):
-                edges.add(_sorted_edge(x, m))
-            if in_window(m) and in_window(y):
-                edges.add(_sorted_edge(m, y))
-            if in_window(x) and in_window(m) and in_window(y):
-                triangles.add((x, m, y))
-            stack.append((x, m))
-            stack.append((m, y))
+        visit(k, 1, k + 1, 1)
+        # In-order over the open interval (k, k+1): descend left from the
+        # interval (a, b) while it meets the window and its mediant is within
+        # max_den, stacking b, the right parent of each mediant passed.
+        ap, aq, bp, bq = k, 1, k + 1, 1
+        parents: list[tuple[int, int]] = []
+        while True:
+            while aq + bq <= max_den and bp * lo_q > lo_p * bq and ap * hi_q < hi_p * aq:
+                parents.append((bp, bq))
+                bp, bq = ap + bp, aq + bq
+            if not parents:
+                break
+            ap, aq = bp, bq
+            bp, bq = parents.pop()
+            visit(ap, aq, bp, bq)
+    visit(k_hi, 1, k_hi + 1, 1)
 
     return Diagram(
         lo=lo,
         hi=hi,
         max_den=max_den,
-        vertices=tuple(sorted(vertices)),
-        edges=tuple(sorted(edges)),
-        triangles=tuple(sorted(triangles)),
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+        triangles=tuple(triangles),
     )
+
+
+def _sorted_edge(a: ExtendedRational, b: ExtendedRational) -> Edge:
+    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -131,18 +167,6 @@ class Funnel:
     left_edge: tuple[ExtendedRational, ...]
     right_edge: tuple[ExtendedRational, ...]
     indices: Mapping[ExtendedRational, int] = field(compare=False)
-
-    @property
-    def tip(self) -> ExtendedRational:
-        return self.alpha
-
-    def edge_set(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for x, m, y in self.triangles:
-            out.add(_sorted_edge(x, m))
-            out.add(_sorted_edge(m, y))
-            out.add(_sorted_edge(x, y))
-        return out
 
 
 def funnel(alpha: ExtendedRational) -> Funnel:

@@ -2,7 +2,8 @@
 
 All geometry stays exact until attribute emission, where coordinates are
 written with 6 significant digits.  Identical inputs produce byte-identical
-SVG text: element order is fully determined by sorting on exact values.
+SVG text: elements follow the diagram's vertex, edge and triangle order,
+which is increasing in the exact values.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 from .diagram import Diagram, Funnel
 from .lines import ExtendedLine
-from .rationals import ExtendedRational, PlanePoint, vertex_point
+from .rationals import ExtendedRational, PlanePoint
 
 _XMLNS = "http://www.w3.org/2000/svg"
 
@@ -51,14 +52,25 @@ class _Frame:
         self.lo = lo
         self.hi = hi
         self.margin = margin
-        self.scale = (width - 2 * margin) / (float(hi) - float(lo))
+        self.x0 = float(lo)
+        self.scale = (width - 2 * margin) / (float(hi) - self.x0)
         self.height = 2 * margin + self.scale  # data y spans [0, 1]
+        self._y_by_den: dict[int, str] = {}
 
     def px(self, x: ExtendedRational) -> float:
-        return self.margin + (float(x) - float(self.lo)) * self.scale
+        return self.margin + (float(x) - self.x0) * self.scale
 
     def py(self, y: ExtendedRational) -> float:
         return self.margin + (1.0 - float(y)) * self.scale
+
+    def vertex(self, v: ExtendedRational) -> tuple[str, str]:
+        """Formatted pixel coordinates of the diagram vertex (p/q, 1/q),
+        computed from p and q with the same float operations as px and py.
+        The y text depends on q alone and is formatted once per q."""
+        y = self._y_by_den.get(v.den)
+        if y is None:
+            y = self._y_by_den[v.den] = _fmt(self.margin + (1.0 - 1 / v.den) * self.scale)
+        return _fmt(self.margin + (v.num / v.den - self.x0) * self.scale), y
 
     def clip_line(self, line: ExtendedLine) -> tuple[PlanePoint, PlanePoint] | None:
         """Exact intersection of the line with the box [lo, hi] x [0, 1]."""
@@ -105,21 +117,20 @@ def render_svg(
     ]
 
     out.append('<g class="edges" stroke="#999999" stroke-width="0.7" stroke-linecap="round">')
+    # Edges come grouped by their left end, so format that end once per group.
+    left = None
     for a, b in diagram.edges:
-        pa, pb = vertex_point(a), vertex_point(b)
-        out.append(
-            f'<line x1="{_fmt(frame.px(pa.x))}" y1="{_fmt(frame.py(pa.y))}" '
-            f'x2="{_fmt(frame.px(pb.x))}" y2="{_fmt(frame.py(pb.y))}"/>'
-        )
+        if a is not left:
+            left = a
+            ax, ay = frame.vertex(a)
+        bx, by = frame.vertex(b)
+        out.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
     out.append("</g>")
 
     out.append('<g class="vertices" fill="#1a1a1a">')
     for v in diagram.vertices:
-        p = vertex_point(v)
-        r = max(1.2, 8.0 / v.den)
-        out.append(
-            f'<circle cx="{_fmt(frame.px(p.x))}" cy="{_fmt(frame.py(p.y))}" r="{_fmt(r)}"/>'
-        )
+        x, y = frame.vertex(v)
+        out.append(f'<circle cx="{x}" cy="{y}" r="{_fmt(max(1.2, 8.0 / v.den))}"/>')
     out.append("</g>")
 
     for ov in overlays:
@@ -129,10 +140,7 @@ def render_svg(
                 f'stroke="{ov.stroke}" stroke-width="0.9">'
             )
             for tri in ov.funnel.triangles:
-                pts = " ".join(
-                    f"{_fmt(frame.px(vertex_point(v).x))},{_fmt(frame.py(vertex_point(v).y))}"
-                    for v in tri
-                )
+                pts = " ".join(f"{x},{y}" for x, y in map(frame.vertex, tri))
                 out.append(f'<polygon points="{pts}"/>')
             ray_x = _fmt(frame.px(ov.funnel.alpha))
             out.append(

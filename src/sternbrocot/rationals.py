@@ -144,6 +144,9 @@ class ExtendedRational:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # Integers compare equal to int, so they must hash like int too.
+        if self.den == 1:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def _cmp_key(self, other):

@@ -81,6 +81,17 @@ def farey_det(a: Fraction, b: Fraction) -> int:
     return a.numerator * b.denominator - b.numerator * a.denominator
 
 
+def brute_farey_edges(values) -> set[tuple[Fraction, Fraction]]:
+    """All Farey pairs (a, b), a < b, among the given values, by pairwise determinants."""
+    vals = sorted(values)
+    return {
+        (vals[i], vals[j])
+        for i in range(len(vals))
+        for j in range(i + 1, len(vals))
+        if abs(farey_det(vals[i], vals[j])) == 1
+    }
+
+
 def brute_farey_triples(values) -> set[tuple[Fraction, Fraction, Fraction]]:
     """All Farey triples among the given values, by pairwise determinants."""
     vals = sorted(values)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sternbrocot.cli import run
 
 
@@ -137,6 +139,24 @@ class TestDiagramCommand:
 
     def test_empty_window_is_domain_error(self, capsys):
         assert run(["diagram", "--window", "1..0", "--svg", "/tmp/x.svg"]) == 3
+
+
+class TestUnwritableSvg:
+    @pytest.mark.parametrize("argv", [
+        ["diagram", "--window", "0..1", "--max-denom", "5", "--svg"],
+        ["funnel", "2/7", "--max-denom", "5", "--svg"],
+        ["lines", "[0;3,_,4]", "--max-denom", "5", "--svg"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_directory_is_exit_2_with_one_line(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.svg"
+        assert run(argv + [str(target)]) == 2
+        out, err = out_of(capsys)
+        assert not out.startswith("wrote") and "->" not in out
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_directory_as_target_is_exit_2(self, tmp_path, capsys):
+        assert run(["diagram", "--window", "0..1", "--max-denom", "5", "--svg", str(tmp_path)]) == 2
+        assert out_of(capsys)[1].startswith(f"error: cannot write {tmp_path}: ")
 
 
 class TestLinkCommands:

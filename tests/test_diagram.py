@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from sternbrocot import (
     vertex_index,
 )
 from oracles import (
+    brute_farey_edges,
     brute_farey_triples,
     farey_det,
     gcd_scan_vertices,
@@ -131,6 +134,47 @@ class TestBuildDiagram:
                 ):
                     completions += 1
             assert c == completions, (str(a), str(b))
+
+
+def random_window(seed: int) -> tuple[Fraction, Fraction, int]:
+    """A window whose ends are negative about half the time and mostly not
+    integers.  Its size keeps the pairwise oracles quick: up to four unit
+    intervals when max_den is small, a width of at most 5/32 at max_den 80."""
+    rng = random.Random(seed)
+    max_den = rng.randint(1, 3) if seed % 3 == 0 else rng.randint(4, 80)
+    span = min(Fraction(4), Fraction(1000, max_den * max_den))
+    lo = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+    return lo, lo + span * Fraction(rng.randint(1, 12), 12), max_den
+
+
+class TestWindowOrder:
+    """Windows come out ordered by the traversal itself; check the order
+    directly and the contents against brute-force enumeration."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_window_is_ordered_and_matches_oracles(self, seed):
+        lo, hi, max_den = random_window(seed)
+        d = build_diagram(R(lo.numerator, lo.denominator), R(hi.numerator, hi.denominator), max_den)
+
+        def fr(v):
+            return Fraction(v.num, v.den)
+
+        verts = [fr(v) for v in d.vertices]
+        edges = [tuple(map(fr, e)) for e in d.edges]
+        tris = [tuple(map(fr, t)) for t in d.triangles]
+        for seq in (verts, edges, tris):
+            assert all(a < b for a, b in zip(seq, seq[1:]))
+
+        assert set(verts) == gcd_scan_vertices(lo, hi, max_den)
+        assert set(edges) == brute_farey_edges(verts)
+        assert set(tris) == brute_farey_triples(verts)
+
+    def test_random_windows_cover_the_intended_shapes(self):
+        windows = [random_window(seed) for seed in range(40)]
+        assert any(lo < 0 and lo.denominator > 1 and hi.denominator > 1 for lo, hi, _ in windows)
+        assert any(math.floor(hi) - math.ceil(lo) >= 2 for lo, hi, _ in windows)
+        assert {1, 2, 3} <= {m for _, _, m in windows}
+        assert any(m >= 60 for _, _, m in windows)
 
 
 class TestFunnel:

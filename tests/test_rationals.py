@@ -161,3 +161,17 @@ class TestArithmeticAndOrder:
         m = x * y
         assert a * b == R(m.numerator, m.denominator)
         assert (a < b) == (x < y)
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**6))
+    def test_values_equal_to_an_int_hash_like_it(self, p, q):
+        x = R(p, q)
+        if x.is_integer:
+            assert x == x.num and hash(x) == hash(x.num)
+            assert len({x, x.num}) == 1
+            assert {x.num: "int"}[x] == "int"
+        assert hash(x) == hash(R(p * 3, q * 3))
+
+    def test_integer_and_int_share_set_and_dict_slots(self):
+        assert {R(2), 2} == {2}
+        assert R(-1) in {-1} and R(0) in {0}
+        assert {R(4, 2): 1}[2] == 1
