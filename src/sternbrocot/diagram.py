@@ -58,6 +58,10 @@ class Diagram:
     triangles: tuple[Triangle, ...]
 
 
+def _sorted_edge(a: ExtendedRational, b: ExtendedRational) -> Edge:
+    return (a, b) if a < b else (b, a)
+
+
 def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
     """Traverse the Stern-Brocot tree over each unit interval covering [lo, hi].
 
@@ -132,10 +136,11 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
                 bp, bq = ap + bp, aq + bq
             if not parents:
                 break
+            # The descent stopped in (a, m): visit m, then walk (m, b).
             ap, aq = bp, bq
             bp, bq = parents.pop()
             visit(ap, aq, bp, bq)
-    visit(k_hi, 1, k_hi + 1, 1)
+    visit(k_hi, 1, k_hi + 1, 1)  # ceil(hi), in the window when hi is an integer
 
     return Diagram(
         lo=lo,
@@ -145,10 +150,6 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
         edges=tuple(edges),
         triangles=tuple(triangles),
     )
-
-
-def _sorted_edge(a: ExtendedRational, b: ExtendedRational) -> Edge:
-    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
