@@ -7,6 +7,15 @@ identical arguments give byte-identical output.
 Exit codes: 0 success, 2 parse error or unusable argument (such as an
 SVG path that cannot be written), 3 domain error, 4 internal invariant
 violation (a failed theorem clause is an implementation bug).
+
+Two limits keep every run bounded and end in those codes.  Integers pass
+between text and int only up to Python's int/text digit limit
+(sys.get_int_max_str_digits(), 4300 digits by default; the guard against
+quadratic conversions stays on): a longer input integer is a parse error
+(2), a result integer too long to print is a domain error (3).  SVG
+windows are drawn at density at most MAX_SVG_DENOM = 400 (--max-denom;
+`funnel --svg` of p/q draws at max(--max-denom, q)); a denser window is
+a domain error (3).
 """
 
 from __future__ import annotations
@@ -18,15 +27,20 @@ import sys
 
 from . import contfrac, diagram, figures
 from .contfrac import ContinuedFraction, parse_terms
-from .errors import DomainError, InvariantViolation, ParseError
+from .errors import DomainError, InvariantViolation, ParseError, too_many_digits
 from .lines import LineFamily, line_family
 from .links import canonical_fraction, plat_diagram, schubert_equivalent
-from .rationals import ExtendedRational
+from .rationals import ExtendedRational, int_text, parse_int
 
 
 class UsageError(Exception):
     """A well-formed argument the command cannot act on (exit code 2)."""
 
+
+# Densest window an SVG command draws.  A unit window at density N has
+# about 3N^2/pi^2 vertices, so time and file size grow as N^2: at the cap
+# `funnel 1/400 --svg` takes about 0.8 s and writes 7.9 MB.
+MAX_SVG_DENOM = 400
 
 _RANGE_RE = re.compile(r"\A(-?\d+)\.\.(-?\d+)\Z")
 _WINDOW_RE = re.compile(r"\A(.+?)\.\.(.+)\Z")
@@ -36,7 +50,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     m = _RANGE_RE.match(text)
     if m is None:
         raise ParseError(f"bad range {text!r}, expected LO..HI with integers")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = parse_int(m.group(1)), parse_int(m.group(2))
     if lo > hi:
         raise ParseError(f"empty range {text!r}")
     return lo, hi
@@ -50,7 +64,11 @@ def _parse_window(text: str) -> tuple[ExtendedRational, ExtendedRational]:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    try:
+        text = json.dumps(obj, indent=2)
+    except ValueError:  # the payload holds only text, ints and bools
+        raise DomainError(too_many_digits("an integer of the result")) from None
+    print(text)
 
 
 def _family_from_hole(text: str) -> LineFamily:
@@ -70,6 +88,11 @@ def _write_window_svg(
     overlays: tuple[figures.Overlay, ...] | list[figures.Overlay] = (),
 ) -> diagram.Diagram:
     """Build the window [lo, hi], draw it with the overlays and write the SVG."""
+    if max_den > MAX_SVG_DENOM:
+        raise DomainError(
+            f"SVG window density {max_den} is above the cap of {MAX_SVG_DENOM} "
+            "(--max-denom; funnel --svg of p/q draws at least q)"
+        )
     d = diagram.build_diagram(lo, hi, max_den)
     svg = figures.render_svg(d, overlays)
     try:
@@ -138,7 +161,7 @@ def _cmd_funnel(args) -> int:
 
 def _coeff_text(coeffs: tuple[int, int]) -> str:
     c1, c0 = coeffs
-    return f"{c1}m{'+' if c0 >= 0 else '-'}{abs(c0)}"
+    return f"{int_text(c1)}m{'+' if c0 >= 0 else '-'}{int_text(abs(c0))}"
 
 
 def _point_json(pt) -> dict:
@@ -268,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--json", action="store_true")
     g.add_argument("--svg", metavar="FILE")
     p.add_argument("--max-denom", type=int, default=60,
-                   help="diagram density for --svg (default 60)")
+                   help=f"diagram density for --svg, raised to q (default 60, at most {MAX_SVG_DENOM})")
     p.set_defaults(func=_cmd_funnel)
 
     p = sub.add_parser("lines", help="line family of a sequence with one hole")
@@ -278,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--json", action="store_true")
     g.add_argument("--svg", metavar="FILE")
     p.add_argument("--max-denom", type=int, default=60,
-                   help="diagram density for --svg (default 60)")
+                   help=f"diagram density for --svg (default 60, at most {MAX_SVG_DENOM})")
     p.set_defaults(func=_cmd_lines)
 
     p = sub.add_parser("diagram", help="render a diagram window to SVG")

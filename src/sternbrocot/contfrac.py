@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .rationals import ExtendedRational, make_rational
+from .rationals import ExtendedRational, int_text, make_rational, parse_int
 
 _CF_RE = re.compile(r"\A\s*\[\s*([+-]?\d+)\s*(?:;\s*(.*?)\s*)?\]\s*\Z")
 _TERM_RE = re.compile(r"\A[+-]?\d+\Z")
@@ -74,8 +74,8 @@ class ContinuedFraction:
 
 def format_terms(terms: Sequence[int | None]) -> str:
     """Render terms as "[a0;a1,...,an]"; None renders as the hole "_"."""
-    body = ",".join("_" if t is None else str(t) for t in terms[1:])
-    head = "_" if terms[0] is None else str(terms[0])
+    body = ",".join("_" if t is None else int_text(t) for t in terms[1:])
+    head = "_" if terms[0] is None else int_text(terms[0])
     if body:
         return f"[{head};{body}]"
     return f"[{head}]"
@@ -90,7 +90,7 @@ def parse_terms(text: str, allow_hole: bool = False) -> tuple[list[int | None], 
     m = _CF_RE.match(text)
     if m is None:
         raise ParseError(f"not a continued fraction: {text!r}")
-    terms: list[int | None] = [int(m.group(1))]
+    terms: list[int | None] = [parse_int(m.group(1))]
     hole: int | None = None
     if m.group(2) is not None:
         if not m.group(2):
@@ -105,7 +105,7 @@ def parse_terms(text: str, allow_hole: bool = False) -> tuple[list[int | None], 
                 hole = len(terms)
                 terms.append(None)
             elif _TERM_RE.match(tok):
-                terms.append(int(tok))
+                terms.append(parse_int(tok))
             else:
                 raise ParseError(f"bad term {tok!r} in {text!r}")
     if allow_hole and hole is None:

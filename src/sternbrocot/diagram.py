@@ -18,17 +18,25 @@ and sorts nothing.
 The funnel of a non-integer rational alpha is the strip of triangles the
 vertical ray {(alpha, t) : t > 0} passes through, ordered top to bottom;
 it narrows onto the vertex of alpha.  Triangles that meet the ray only at
-that bottom vertex are not part of the strip.  The strip decomposes into
-fans pivoting at the convergents of the standard expansion of alpha, the
-fan at the (j-1)-th convergent having a_j triangles; see A. Hatcher,
-"Topology of Numbers", for this correspondence.
+that bottom vertex are not part of the strip.  The strip is the
+Stern-Brocot search path for alpha from the pair (floor(alpha),
+floor(alpha) + 1), walked on integer pairs with one cross product per
+step, so a funnel costs O(a_1 + ... + a_n) integer steps and compares no
+ExtendedRational.  The strip decomposes into fans pivoting at the
+convergents of the standard expansion of alpha, the fan at the (j-1)-th
+convergent having a_j triangles; see A. Hatcher, "Topology of Numbers",
+for this correspondence.
 
 A vertex's index counts the funnel edges at that vertex which meet the
 defining ray.  Crossings are counted strictly, with one boundary
 convention: in a single-fan funnel (expansions [a0; a1]) the fan's closing
 spoke runs from the pivot to the bottom vertex and terminates on the ray,
 and it is counted.  That convention is what makes the index at each pivot
-equal the fan size for every expansion length.
+equal the fan size for every expansion length.  The only edge of a strip
+triangle the ray crosses is the search interval (lo, hi) it was built on,
+so funnel() counts one crossing at lo and one at hi per triangle.  The
+verifier does not trust that count: it recounts the distinct crossing
+edges of the triangles by integer determinants.
 """
 
 from __future__ import annotations
@@ -56,10 +64,6 @@ class Diagram:
     vertices: tuple[ExtendedRational, ...]
     edges: tuple[Edge, ...]
     triangles: tuple[Triangle, ...]
-
-
-def _sorted_edge(a: ExtendedRational, b: ExtendedRational) -> Edge:
-    return (a, b) if a < b else (b, a)
 
 
 def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
@@ -174,8 +178,17 @@ def funnel(alpha: ExtendedRational) -> Funnel:
     """Build the funnel of a finite non-integer rational.
 
     The strip is the Stern-Brocot search path for alpha, starting from the
-    consecutive-integer pair around it; each step adds the triangle of the
-    current pair and its mediant and descends toward alpha.
+    consecutive-integer pair (lo, hi) around it; each step adds the
+    triangle of the current pair and its mediant m and descends toward
+    alpha.  The walk runs on integer pairs: one cross product against
+    alpha decides each step, and one ExtendedRational is made per new
+    vertex.  The ray strictly crosses one edge of each triangle, its base
+    (lo, hi); of the other two edges, one is the next triangle's base and
+    the other ends on alpha or lies on one side of the ray.  So the
+    crossing edges are the bases, each triangle adds one to the indices of
+    its lo and its hi, and the indices are counted as the walk runs.  The
+    cost is O(a_1 + ... + a_n) integer steps; no ExtendedRational is
+    compared, and each is hashed once, as a key of the index map.
     """
     if alpha.is_infinite:
         raise DomainError("funnels are defined for finite rationals")
@@ -186,36 +199,39 @@ def funnel(alpha: ExtendedRational) -> Funnel:
         )
     expansion = standard_expansion(alpha)
     a0 = expansion.terms[0]
-    left = [ExtendedRational(a0)]
-    right = [ExtendedRational(a0 + 1)]
-    lo, hi = left[0], right[0]
+    a, b = alpha.num, alpha.den
+    lp, lq, hp, hq = a0, 1, a0 + 1, 1
+    lo, hi = ExtendedRational(lp), ExtendedRational(hp)
+    left, right = [lo], [hi]
     triangles: list[Triangle] = []
+    # A vertex's index is the number of triangles built while it is the
+    # current lo or hi; it is final when a mediant replaces the vertex.
+    left_count: list[int] = []
+    right_count: list[int] = []
+    lo_since = hi_since = 0
     while True:
-        m = ExtendedRational(lo.num + hi.num, lo.den + hi.den)
+        mp, mq = lp + hp, lq + hq
+        m = ExtendedRational(mp, mq)
         triangles.append((lo, m, hi))
-        if m == alpha:
-            break
-        if alpha < m:
-            hi = m
+        side = mp * b - a * mq
+        if side > 0:  # alpha < m
+            right_count.append(len(triangles) - hi_since)
+            hi_since = len(triangles)
+            hi, hp, hq = m, mp, mq
             right.append(m)
-        else:
-            lo = m
+        elif side < 0:
+            left_count.append(len(triangles) - lo_since)
+            lo_since = len(triangles)
+            lo, lp, lq = m, mp, mq
             left.append(m)
-
-    indices: dict[ExtendedRational, int] = {v: 0 for v in left + right}
-    edges: set[Edge] = set()
-    for x, m, y in triangles:
-        edges.add(_sorted_edge(x, m))
-        edges.add(_sorted_edge(m, y))
-        edges.add(_sorted_edge(x, y))
-    for u, v in edges:
-        if u < alpha < v:
-            indices[u] += 1
-            indices[v] += 1
+        else:
+            break
+    left_count.append(len(triangles) - lo_since)
+    right_count.append(len(triangles) - hi_since)
     if expansion.degree == 1:
         # Single fan: its closing spoke joins the pivot to the bottom
         # vertex and ends on the ray; counted per the fan-size convention.
-        indices[left[0]] += 1
+        left_count[0] += 1
 
     return Funnel(
         alpha=alpha,
@@ -224,7 +240,7 @@ def funnel(alpha: ExtendedRational) -> Funnel:
         triangles=tuple(triangles),
         left_edge=tuple(left),
         right_edge=tuple(right),
-        indices=MappingProxyType(indices),
+        indices=MappingProxyType(dict(zip(left + right, left_count + right_count))),
     )
 
 
@@ -256,6 +272,9 @@ class FunnelTheoremReport:
     (1) even-index convergents lie on the left edge, odd on the right;
     (2) the first pivot has index a_1 and the last has index a_n;
     (3) interior pivots c_j (0 < j < n-1) have index 1 + a_{j+1}.
+
+    A fourth clause, "index recount", appears only when it fails: the
+    funnel's indices differ from a geometric recount of its triangles.
     """
 
     sequence: ContinuedFraction
@@ -280,8 +299,11 @@ class FunnelTheoremReport:
 def verify_funnel_theorem(seq: ContinuedFraction) -> FunnelTheoremReport:
     """Check the funnel of evaluate(seq) against the expansion's terms.
 
-    Any failed clause is an implementation bug, never a property of the
-    input; the report carries the offending values verbatim.
+    The funnel's indices are also recounted from its triangles by integer
+    determinants, independently of funnel()'s own count; a disagreement
+    adds a failed "index recount" clause.  Any failed clause is an
+    implementation bug, never a property of the input; the report carries
+    the offending values verbatim.
     """
     if not seq.is_standard:
         raise DomainError(f"{seq} is not standard")
@@ -292,12 +314,12 @@ def verify_funnel_theorem(seq: ContinuedFraction) -> FunnelTheoremReport:
     terms = seq.terms
     n = seq.degree
     cs = f.convergents
-    left = set(f.left_edge)
-    right = set(f.right_edge)
+    left = {(v.num, v.den) for v in f.left_edge}
+    right = {(v.num, v.den) for v in f.right_edge}
 
     side_misses = []
     for j in range(n):
-        ok = cs[j] in left if j % 2 == 0 else cs[j] in right
+        ok = (cs[j].num, cs[j].den) in (left if j % 2 == 0 else right)
         if not ok:
             want = "left" if j % 2 == 0 else "right"
             side_misses.append(f"c_{j}={cs[j]} not on {want} edge")
@@ -331,4 +353,57 @@ def verify_funnel_theorem(seq: ContinuedFraction) -> FunnelTheoremReport:
         "; ".join(mid_misses) or ("vacuous" if n < 3 else "all interior pivots match"),
     )
 
-    return FunnelTheoremReport(seq, alpha, (clause1, clause2, clause3))
+    clauses = (clause1, clause2, clause3)
+    recount_misses = _index_recount_misses(f)
+    if recount_misses:
+        clauses += (ClauseResult("index recount", False, "; ".join(recount_misses)),)
+    return FunnelTheoremReport(seq, alpha, clauses)
+
+
+def _index_recount_misses(f: Funnel) -> list[str]:
+    """Compare f.indices with a recount from f.triangles alone.
+
+    The recount takes every edge of every triangle whose ends lie strictly
+    on opposite sides of the line x = alpha, by the sign of an integer
+    determinant, and counts each distinct edge once at both of its ends;
+    a single-fan funnel adds the closing spoke at its pivot floor(alpha).
+    It reads nothing off the expansion's terms, so it checks the count
+    funnel() keeps while it walks.  Returns one message per vertex where
+    the two disagree.
+    """
+    a, b = f.alpha.num, f.alpha.den
+    # Distinct crossing edges as (west p, west q, east p, east q); the sign
+    # of p*b - a*q puts p/q west or east of x = alpha = a/b.
+    crossing: set[tuple[int, int, int, int]] = set()
+    add = crossing.add
+    for x, m, y in f.triangles:
+        xp, xq, mp, mq, yp, yq = x.num, x.den, m.num, m.den, y.num, y.den
+        sx, sm, sy = xp * b - a * xq, mp * b - a * mq, yp * b - a * yq
+        if sx < 0 < sm:
+            add((xp, xq, mp, mq))
+        elif sm < 0 < sx:
+            add((mp, mq, xp, xq))
+        if sx < 0 < sy:
+            add((xp, xq, yp, yq))
+        elif sy < 0 < sx:
+            add((yp, yq, xp, xq))
+        if sm < 0 < sy:
+            add((mp, mq, yp, yq))
+        elif sy < 0 < sm:
+            add((yp, yq, mp, mq))
+    counts: dict[tuple[int, int], int] = {}
+    for wp, wq, ep, eq in crossing:
+        counts[wp, wq] = counts.get((wp, wq), 0) + 1
+        counts[ep, eq] = counts.get((ep, eq), 0) + 1
+    if f.expansion.degree == 1:
+        pivot = (a // b, 1)
+        counts[pivot] = counts.get(pivot, 0) + 1
+
+    misses = []
+    for v, k in f.indices.items():
+        recount = counts.pop((v.num, v.den), 0)
+        if k != recount:
+            misses.append(f"index({v})={k}, ray crossings give {recount}")
+    for (p, q), recount in counts.items():
+        misses.append(f"{ExtendedRational(p, q)} has no index, ray crossings give {recount}")
+    return misses

@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, too_many_digits
 
 _RATIONAL_RE = re.compile(r"\A\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+))?\s*\Z")
 
@@ -47,8 +47,8 @@ class ExtendedRational:
         m = _RATIONAL_RE.match(text)
         if m is None:
             raise ParseError(f"not a rational: {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        num = parse_int(m.group(1))
+        den = parse_int(m.group(2)) if m.group(2) is not None else 1
         if num == 0 and den == 0:
             raise ParseError("0/0 is not a rational")
         return cls(num, den)
@@ -189,12 +189,32 @@ class ExtendedRational:
     def __str__(self) -> str:
         if self.den == 0:
             return "1/0"
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+        try:
+            if self.den == 1:
+                return str(self.num)
+            return f"{self.num}/{self.den}"
+        except ValueError:
+            raise DomainError(too_many_digits("an integer of the result")) from None
 
     def __repr__(self) -> str:
         return f"ExtendedRational({self.num}, {self.den})"
+
+
+def parse_int(text: str) -> int:
+    """int() of a signed decimal digit string; past the int/text digit
+    limit (errors.too_many_digits) it raises ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(too_many_digits(f"the input integer {text[:12]}...")) from None
+
+
+def int_text(n: int) -> str:
+    """str(n); past the int/text digit limit it raises DomainError."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DomainError(too_many_digits("an integer of the result")) from None
 
 
 INFINITY = ExtendedRational(1, 0)

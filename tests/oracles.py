@@ -7,6 +7,7 @@ separate routes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -138,16 +139,53 @@ def open_segments_intersect(a1, a2, b1, b2) -> bool:
     return False
 
 
-def ray_funnel_triangles(diagram, alpha: Fraction) -> set[tuple]:
+class XIntervalIndex:
+    """The triangles of a window, looked up by the x-interval they span.
+
+    Triangles are grouped by the binary order of their width, each group
+    sorted by left end.  A triangle of width at most W that spans alpha
+    starts in [alpha - W, alpha], so two bisections per group find every
+    candidate.  Built once per window, it makes ray queries cheap without
+    changing what they check.
+    """
+
+    def __init__(self, triangles):
+        groups: dict[int, list[tuple[Fraction, Fraction, tuple]]] = {}
+        for tri in triangles:
+            vals = [Fraction(v.num, v.den) for v in tri]
+            lo, hi = min(vals), max(vals)
+            w = hi - lo
+            groups.setdefault(w.numerator.bit_length() - w.denominator.bit_length(), []).append(
+                (lo, hi, tri)
+            )
+        self._groups = []
+        for entries in groups.values():
+            entries.sort(key=lambda e: e[0])
+            width = max(hi - lo for lo, hi, _ in entries)
+            self._groups.append((width, [lo for lo, _, _ in entries], entries))
+
+    def spanning(self, alpha: Fraction) -> list:
+        """Every triangle whose x-interval contains alpha."""
+        out = []
+        for width, los, entries in self._groups:
+            for lo, hi, tri in entries[bisect_left(los, alpha - width):bisect_right(los, alpha)]:
+                if alpha <= hi:
+                    out.append(tri)
+        return out
+
+
+def ray_funnel_triangles(diagram, alpha: Fraction, index: XIntervalIndex | None = None) -> set[tuple]:
     """Triangles of a diagram window meeting {(alpha, t) : t > 1/q}.
 
     Exact ray/triangle intersection: a triangle is kept when its section by
     the vertical line x = alpha reaches strictly above the vertex height of
-    alpha.  Returns triangles as sorted (num, den) triples.
+    alpha.  Returns triangles as sorted (num, den) triples.  An
+    XIntervalIndex of the same window narrows the scan to the triangles
+    spanning alpha; each of them still gets the exact test.
     """
     tip_y = Fraction(1, alpha.denominator)
     out = set()
-    for tri in diagram.triangles:
+    for tri in diagram.triangles if index is None else index.spanning(alpha):
         vals = [Fraction(v.num, v.den) for v in tri]
         if not (min(vals) <= alpha <= max(vals)):
             continue
@@ -163,6 +201,43 @@ def ray_funnel_triangles(diagram, alpha: Fraction) -> set[tuple]:
         if ys and max(ys) > tip_y:
             out.add(tuple(sorted(((v.num, v.den) for v in tri), key=lambda t: Fraction(*t))))
     return out
+
+
+def search_path_funnel(alpha: Fraction):
+    """The funnel of a non-integer alpha by the Stern-Brocot search path on
+    Fractions, with indices counted as strict crossings over the set of
+    strip edges, plus the single-fan closing spoke at the pivot.
+
+    Returns (triangles, left, right, indices): triangles as (lo, m, hi)
+    in search order, the boundary vertices on each side top to bottom, and
+    the (vertex, index) pairs in left-then-right order.
+    """
+    lo = Fraction(alpha.numerator // alpha.denominator)
+    hi = lo + 1
+    left, right, triangles = [lo], [hi], []
+    while True:
+        m = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
+        triangles.append((lo, m, hi))
+        if m == alpha:
+            break
+        if alpha < m:
+            hi = m
+            right.append(m)
+        else:
+            lo = m
+            left.append(m)
+    edges = set()
+    for x, m, y in triangles:
+        edges.update({(x, m), (m, y), (x, y)})
+    counts = {v: 0 for v in left + right}
+    for u, v in edges:
+        if u < alpha < v:
+            counts[u] += 1
+            counts[v] += 1
+    if len(left) == 1:
+        # Only [a0; a1] keeps lo = a0 all the way down: a single fan.
+        counts[left[0]] += 1
+    return triangles, left, right, list(counts.items())
 
 
 def schubert_class(p: int, q: int) -> frozenset[int]:

@@ -33,6 +33,7 @@ from sternbrocot import (
     verify_funnel_theorem,
 )
 from oracles import (
+    XIntervalIndex,
     gcd_scan_vertices,
     nu_frac,
     open_segments_intersect,
@@ -154,6 +155,7 @@ def test_criterion_3_main_theorem_suite():
 def test_criterion_4_funnel_theorem_suite():
     with _Clock(4, "funnel combinatorics vs geometry, q <= 60", 30.0):
         window = build_diagram(R(0), R(1), 60)
+        index = XIntervalIndex(window.triangles)
         from sternbrocot import funnel as build_funnel
 
         for q in range(2, 61):
@@ -167,7 +169,7 @@ def test_criterion_4_funnel_theorem_suite():
                     tuple(sorted(((v.num, v.den) for v in tri), key=lambda s: Fraction(*s)))
                     for tri in f.triangles
                 }
-                assert got == ray_funnel_triangles(window, Fraction(p, q)), f"{p}/{q}"
+                assert got == ray_funnel_triangles(window, Fraction(p, q), index), f"{p}/{q}"
 
 
 def test_criterion_5_lemma_suites():

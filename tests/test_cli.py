@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sternbrocot.cli import run
+from sternbrocot.cli import MAX_SVG_DENOM, run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def out_of(capsys):
@@ -157,6 +163,78 @@ class TestUnwritableSvg:
     def test_directory_as_target_is_exit_2(self, tmp_path, capsys):
         assert run(["diagram", "--window", "0..1", "--max-denom", "5", "--svg", str(tmp_path)]) == 2
         assert out_of(capsys)[1].startswith(f"error: cannot write {tmp_path}: ")
+
+
+class TestDigitLimit:
+    """Integers longer than Python's int/text digit limit end in a one-line
+    error: exit 2 on input, exit 3 on output.  Run as processes so that a
+    traceback would show on stderr."""
+
+    LIMIT = sys.get_int_max_str_digits()
+    LONG = "1" * (LIMIT + 700)
+
+    def cli(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "sternbrocot", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("argv, code", [
+        (("expand", LONG + "/3"), 2),
+        (("funnel", "2/" + LONG), 2),
+        (("eval", "[" + LONG + "]"), 2),
+        (("eval", "[0;2," + LONG + "]"), 2),
+        (("lines", "[0;3,_,4]", "--range", "1.." + LONG), 2),
+        (("eval", "[1;" + ",".join(["1"] * 25000) + "]"), 3),
+        (("lines", "[0;" + ",".join(["7"] * 6000) + ",_,2]", "--json"), 3),
+    ], ids=["expand", "funnel", "eval-a0", "eval-term", "lines-range", "eval-result", "lines-json"])
+    def test_one_line_error_naming_the_limit(self, argv, code):
+        proc = self.cli(*argv)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"more than {self.LIMIT} digits" in proc.stderr
+
+
+    def test_json_payload_int_past_the_limit_is_a_domain_error(self):
+        from sternbrocot.cli import _print_json
+        from sternbrocot.errors import DomainError
+
+        with pytest.raises(DomainError, match=f"more than {self.LIMIT} digits"):
+            _print_json({"P": [10 ** (self.LIMIT + 10), 1]})
+
+
+class TestSvgDensityCap:
+    @pytest.mark.parametrize("argv", [
+        ["funnel", f"1/{MAX_SVG_DENOM + 1}", "--svg"],
+        ["funnel", "2/7", "--max-denom", str(MAX_SVG_DENOM + 1), "--svg"],
+        ["lines", "[0;3,_,4]", "--max-denom", str(MAX_SVG_DENOM + 1), "--svg"],
+        ["diagram", "--window", "0..1/1000", "--max-denom", str(MAX_SVG_DENOM + 1), "--svg"],
+    ], ids=["funnel-q", "funnel-max-denom", "lines", "diagram"])
+    def test_above_the_cap_is_exit_3_and_writes_nothing(self, argv, tmp_path, capsys):
+        target = tmp_path / "out.svg"
+        assert run(argv + [str(target)]) == 3
+        _, err = out_of(capsys)
+        assert err.startswith("error: SVG window density ") and err.count("\n") == 1
+        assert f"cap of {MAX_SVG_DENOM}" in err
+        assert not target.exists()
+
+    def test_at_the_cap_is_drawn(self, tmp_path, capsys):
+        target = tmp_path / "out.svg"
+        argv = ["diagram", "--window", "0..1/200", "--max-denom", str(MAX_SVG_DENOM), "--svg", str(target)]
+        assert run(argv) == 0
+        assert f"max_den={MAX_SVG_DENOM}:" in out_of(capsys)[0]
+        assert target.read_text().startswith("<?xml")
+
+    @pytest.mark.parametrize("argv", [
+        ["diagram", "--window", "0..1", "--max-denom", "0", "--svg"],
+        ["lines", "[0;3,_,4]", "--max-denom", "0", "--svg"],
+    ], ids=["diagram", "lines"])
+    def test_max_denom_zero_is_exit_3(self, argv, tmp_path, capsys):
+        target = tmp_path / "out.svg"
+        assert run(argv + [str(target)]) == 3
+        assert out_of(capsys)[1] == "error: max_den must be positive\n"
+        assert not target.exists()
 
 
 class TestLinkCommands:

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,9 @@ from sternbrocot import (
     verify_funnel_theorem,
     vertex_index,
 )
+from sternbrocot import diagram
 from oracles import (
+    XIntervalIndex,
     brute_farey_edges,
     brute_farey_triples,
     farey_det,
@@ -25,6 +29,7 @@ from oracles import (
     nu_frac,
     open_segments_intersect,
     ray_funnel_triangles,
+    search_path_funnel,
 )
 
 R = ExtendedRational
@@ -281,13 +286,14 @@ class TestFunnelTheorem:
 
     def test_funnels_match_geometric_ray_oracle_den_60(self):
         d = build_diagram(R(0), R(1), 60)
+        index = XIntervalIndex(d.triangles)
         for q in range(2, 61):
             for p in range(1, q):
                 alpha = Fraction(p, q)
                 if alpha.denominator != q:
                     continue
                 got = {_tri_key(t) for t in funnel(R(p, q)).triangles}
-                assert got == ray_funnel_triangles(d, alpha), f"{p}/{q}"
+                assert got == ray_funnel_triangles(d, alpha, index), f"{p}/{q}"
 
     @pytest.mark.parametrize("k_lo", [-1, 1])
     def test_shifted_windows_match_oracle(self, k_lo):
@@ -384,3 +390,109 @@ class TestFunnelTheorem:
     def test_random_standard_sequences_pass(self, a0, body, last):
         report = verify_funnel_theorem(CF((a0, *body, last)))
         assert report.all_passed, report.as_dict()
+
+
+def random_expansion(seed: int) -> tuple[int, ...]:
+    """A standard expansion of degree 1 + seed % 40: a0 in -20..20, mostly
+    small partial quotients, one of up to 5000 in every fifth, a_1 = 1 in
+    every seventh (degree >= 2)."""
+    rng = random.Random(seed)
+    n = 1 + seed % 40
+    body = [rng.randint(1, 9) for _ in range(n)]
+    if seed % 5 == 0:
+        body[rng.randrange(n)] = 5000 if seed % 25 == 0 else rng.randint(100, 5000)
+    if seed % 7 == 3 and n >= 2:
+        body[0] = 1
+    if body[-1] == 1:
+        body[-1] = 2
+    return (rng.randint(-20, 20), *body)
+
+
+class TestFunnelAgainstSearchPathOracle:
+    """funnel() against the Fraction search path with indices counted as
+    strict crossings over the strip's edge set."""
+
+    @pytest.mark.parametrize("first", range(0, 200, 10))
+    def test_funnel_matches_oracle(self, first):
+        for seed in range(first, first + 10):
+            terms = random_expansion(seed)
+            alpha = evaluate(CF(terms))
+            f = funnel(alpha)
+            triangles, left, right, indices = search_path_funnel(Fraction(alpha.num, alpha.den))
+
+            def fr(v):
+                return Fraction(v.num, v.den)
+
+            assert f.expansion == CF(terms), terms
+            assert [tuple(map(fr, t)) for t in f.triangles] == triangles, terms
+            assert [fr(v) for v in f.left_edge] == left, terms
+            assert [fr(v) for v in f.right_edge] == right, terms
+            assert [(fr(v), i) for v, i in f.indices.items()] == indices, terms
+
+    def test_random_expansions_cover_the_intended_shapes(self):
+        expansions = [random_expansion(seed) for seed in range(200)]
+        assert all(CF(t).is_standard for t in expansions)
+        assert {len(t) - 1 for t in expansions} == set(range(1, 41))
+        assert max(max(t[1:]) for t in expansions) == 5000
+        assert any(t[0] < 0 for t in expansions)
+        assert any(len(t) > 2 and t[1] == 1 for t in expansions)
+        assert sum(len(t) == 2 for t in expansions) >= 5
+
+
+class TestVerifierRecount:
+    """verify_funnel_theorem recounts the indices itself, so a funnel that
+    reports a wrong index fails, whichever vertex it is."""
+
+    @pytest.mark.parametrize("terms", [(0, 3, 2), (-1, 2, 3), (0, 2, 3, 4), (2, 5), (-3, 1, 4, 1, 2)])
+    def test_each_index_off_by_one_fails(self, monkeypatch, terms):
+        f = funnel(evaluate(CF(terms)))
+        for v in f.indices:
+            for delta in (1, -1):
+                bad = dict(f.indices)
+                bad[v] += delta
+                corrupt = dataclasses.replace(f, indices=MappingProxyType(bad))
+                monkeypatch.setattr(diagram, "funnel", lambda alpha, corrupt=corrupt: corrupt)
+                report = verify_funnel_theorem(CF(terms))
+                assert not report.all_passed, (terms, str(v), delta)
+                recount = report.clauses[-1]
+                assert recount.name == "index recount" and not recount.passed
+                assert f"index({v})={bad[v]}," in recount.detail
+
+    def test_missing_vertex_fails(self, monkeypatch):
+        f = funnel(R(2, 7))
+        bad = dict(f.indices)
+        del bad[R(1, 2)]
+        corrupt = dataclasses.replace(f, indices=MappingProxyType(bad))
+        monkeypatch.setattr(diagram, "funnel", lambda alpha: corrupt)
+        report = verify_funnel_theorem(CF((0, 3, 2)))
+        assert not report.all_passed
+        assert "1/2 has no index" in report.clauses[-1].detail
+
+    def test_correct_funnel_has_exactly_the_three_clauses(self):
+        report = verify_funnel_theorem(CF((0, 3, 2)))
+        assert [c.name for c in report.clauses] == [
+            "convergent sides", "end indices", "interior indices"
+        ]
+
+
+class TestXIntervalIndex:
+    """The prefilter returns what the full scan returns."""
+
+    @pytest.mark.parametrize("lo, hi, max_den", [(0, 1, 40), (-2, 1, 12), (Fraction(-7, 3), Fraction(-1, 2), 25)])
+    def test_prefiltered_ray_scan_matches_full_scan(self, lo, hi, max_den):
+        lo, hi = Fraction(lo), Fraction(hi)
+        d = build_diagram(R(lo.numerator, lo.denominator), R(hi.numerator, hi.denominator), max_den)
+        index = XIntervalIndex(d.triangles)
+        rng = random.Random(max_den)
+        alphas = [lo, hi, (lo + hi) / 2] + [
+            lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000) for _ in range(20)
+        ]
+        alphas += sorted(gcd_scan_vertices(lo, hi, max_den))[::7]
+        for alpha in alphas:
+            full = ray_funnel_triangles(d, alpha)
+            assert ray_funnel_triangles(d, alpha, index) == full, alpha
+            spanning = {id(t) for t in index.spanning(alpha)}
+            assert spanning == {
+                id(t) for t in d.triangles
+                if min(Fraction(v.num, v.den) for v in t) <= alpha <= max(Fraction(v.num, v.den) for v in t)
+            }, alpha
