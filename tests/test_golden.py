@@ -56,6 +56,19 @@ EXTRA_GOLDEN = [
     (("funnel", "--svg", "funnel-neg.svg", "--max-denom", "20", "--", "-4/7"), 0,
      "f2ca2e5d5465c4fa8e1e1d8e9379f8be1dc110d754f8faf92d225c166f2db71f",
      "funnel-neg.svg", "462722d88acae56bd9ecdce5e90f70d4c81ef63fd414e7f948a8734b779cadf2"),
+    # Line clips through the window's corners: the minus line of [0;_,3]
+    # touches the box only at (0, 0) and draws nothing; the plus line of
+    # [1;_] leaves through (2, 1), met by two sides at once; both lines of
+    # [0;2,_] leave through the top corners, next to a partner family.
+    (("lines", "[0;_,3]", "--svg", "corner.svg"), 0,
+     "19a1a0542ef19134786f4b54da0c6df5f34bcae30dacb86f7355551e73c214d2",
+     "corner.svg", "4b5929e0df888c33ab76d17e7d0015c3925ea174138bd8c02ffefbd722e7acfe"),
+    (("lines", "[1;_]", "--svg", "plus-corner.svg"), 0,
+     "b71e1170baedc6a54ad1174d98daf5723cb2b2fba856cd0f8b3c07be7991fdff",
+     "plus-corner.svg", "5fb7aef7d9b942c7f0cc83382bc0f430bc1dea80cf33bae220c7559b52649710"),
+    (("lines", "[0;2,_]", "--svg", "top-corners.svg"), 0,
+     "6818262c8177d71ccf9d05c1a292cb3fc1e401639f234f91bae4e97d40146a42",
+     "top-corners.svg", "8abb3ece4279bc2f24974ff1e5444b6b12d86367fdba8f6becfe15feba5659f2"),
 ]
 
 
