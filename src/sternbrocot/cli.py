@@ -14,8 +14,11 @@ between text and int only up to Python's int/text digit limit
 quadratic conversions stays on): a longer input integer is a parse error
 (2), a result integer too long to print is a domain error (3).  SVG
 windows are drawn at density at most MAX_SVG_DENOM = 400 (--max-denom;
-`funnel --svg` of p/q draws at max(--max-denom, q)); a denser window is
-a domain error (3).
+`funnel --svg` of p/q draws at max(--max-denom, q), and refuses before
+building the funnel), and no window may cost more than a unit window at
+that cap: (hi - lo) * density^2 <= 400^2, so `diagram --window 0..2` is
+drawn up to density 282 and `-1000..1000` up to density 8.  A denser or
+wider window is a domain error (3) and writes no file.
 """
 
 from __future__ import annotations
@@ -80,6 +83,14 @@ def _family_from_hole(text: str) -> LineFamily:
     return line_family(ContinuedFraction(tuple(terms)), hole)
 
 
+def _check_svg_density(max_den: int) -> None:
+    if max_den > MAX_SVG_DENOM:
+        raise DomainError(
+            f"SVG window density {max_den} is above the cap of {MAX_SVG_DENOM} "
+            "(--max-denom; funnel --svg of p/q draws at least q)"
+        )
+
+
 def _write_window_svg(
     path: str,
     lo: ExtendedRational,
@@ -88,10 +99,14 @@ def _write_window_svg(
     overlays: tuple[figures.Overlay, ...] | list[figures.Overlay] = (),
 ) -> diagram.Diagram:
     """Build the window [lo, hi], draw it with the overlays and write the SVG."""
-    if max_den > MAX_SVG_DENOM:
+    _check_svg_density(max_den)
+    # A window's work grows as (hi - lo) * max_den^2; allow that of a unit
+    # window at the cap.  Windows build_diagram rejects are left to it.
+    if (not (lo.is_infinite or hi.is_infinite) and max_den > 0
+            and (hi - lo) * max_den ** 2 > MAX_SVG_DENOM ** 2):
         raise DomainError(
-            f"SVG window density {max_den} is above the cap of {MAX_SVG_DENOM} "
-            "(--max-denom; funnel --svg of p/q draws at least q)"
+            f"SVG window {lo}..{hi} at density {max_den} is too large: (hi - lo) * "
+            f"density^2 must be at most {MAX_SVG_DENOM}^2, a unit window at the cap"
         )
     d = diagram.build_diagram(lo, hi, max_den)
     svg = figures.render_svg(d, overlays)
@@ -125,8 +140,12 @@ def _cmd_expand(args) -> int:
 
 def _cmd_funnel(args) -> int:
     alpha = ExtendedRational.parse(args.rational)
+    if args.svg:
+        _check_svg_density(max(args.max_denom, alpha.den))
     f = diagram.funnel(alpha)
     report = diagram.verify_funnel_theorem(f.expansion)
+    # Increasing order: left < alpha < right, left ascends, right descends.
+    indexed = (*f.left_edge, *reversed(f.right_edge))
 
     if args.json:
         _print_json(
@@ -134,7 +153,7 @@ def _cmd_funnel(args) -> int:
                 "base": str(f.alpha),
                 "terms": list(f.expansion.terms),
                 "triangles": [[str(v) for v in tri] for tri in f.triangles],
-                "indices": {str(v): f.indices[v] for v in sorted(f.indices)},
+                "indices": {str(v): f.indices[v] for v in indexed},
             }
         )
     elif args.svg:
@@ -149,7 +168,7 @@ def _cmd_funnel(args) -> int:
             print("  " + " ".join(str(v) for v in tri))
         print("left edge:  " + " ".join(str(v) for v in f.left_edge))
         print("right edge: " + " ".join(str(v) for v in f.right_edge))
-        print("indices:    " + " ".join(f"{v}:{f.indices[v]}" for v in sorted(f.indices)))
+        print("indices:    " + " ".join(f"{v}:{f.indices[v]}" for v in indexed))
 
     for clause in report.clauses:
         print(f"clause ({clause.name}): {'pass' if clause.passed else 'FAIL'} [{clause.detail}]",

@@ -4,6 +4,10 @@ All geometry stays exact until attribute emission, where coordinates are
 written with 6 significant digits.  Identical inputs produce byte-identical
 SVG text: elements follow the diagram's vertex, edge and triangle order,
 which is increasing in the exact values.
+
+The styling is fixed: the window [lo, hi] x [0, 1] is drawn 720 px wide
+with a 24 px margin, and every stroke, fill and radius is a constant.  The
+one choice left to callers is the colour of a point overlay.
 """
 
 from __future__ import annotations
@@ -14,28 +18,24 @@ from .diagram import Diagram, Funnel
 from .lines import ExtendedLine
 from .rationals import ExtendedRational, PlanePoint
 
-_XMLNS = "http://www.w3.org/2000/svg"
+_WIDTH = 720
+_MARGIN = 24
 
 
 @dataclass(frozen=True)
 class LineOverlay:
     line: ExtendedLine
-    color: str = "#1158d6"
-    width: float = 1.4
 
 
 @dataclass(frozen=True)
 class PointOverlay:
     points: tuple[PlanePoint, ...]
     color: str = "#e0218a"
-    radius: float = 3.0
 
 
 @dataclass(frozen=True)
 class FunnelOverlay:
     funnel: Funnel
-    fill: str = "#ffd9ec"
-    stroke: str = "#c2185b"
 
 
 Overlay = LineOverlay | PointOverlay | FunnelOverlay
@@ -45,132 +45,91 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-class _Frame:
-    """Affine map from the window's exact coordinates to pixel floats."""
+def _clip(line: ExtendedLine, lo: ExtendedRational, hi: ExtendedRational):
+    """Exact end points (x, y) of the line inside the box [lo, hi] x [0, 1],
+    or None when the line meets the box in at most one point."""
+    gamma, slope = line.anchor.x, line.slope
+    ends = []
+    for x in (lo, hi):
+        y = (x - gamma) * slope
+        if 0 <= y <= 1:
+            ends.append((x, y))
+    for y in (0, 1):
+        x = gamma + y / slope
+        if lo <= x <= hi:
+            ends.append((x, y))
+    ends.sort()
+    if not ends or ends[0] == ends[-1]:
+        return None
+    return ends[0], ends[-1]
 
-    def __init__(self, lo: ExtendedRational, hi: ExtendedRational, width: int, margin: int):
-        self.lo = lo
-        self.hi = hi
-        self.margin = margin
-        self.x0 = float(lo)
-        self.scale = (width - 2 * margin) / (float(hi) - self.x0)
-        self.height = 2 * margin + self.scale  # data y spans [0, 1]
-        self._y_by_den: dict[int, str] = {}
 
-    def px(self, x: ExtendedRational) -> float:
-        return self.margin + (float(x) - self.x0) * self.scale
+def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] = ()) -> str:
+    x0 = float(diagram.lo)
+    scale = (_WIDTH - 2 * _MARGIN) / (float(diagram.hi) - x0)
+    height = _fmt(2 * _MARGIN + scale)  # data y spans [0, 1]
 
-    def py(self, y: ExtendedRational) -> float:
-        return self.margin + (1.0 - float(y)) * self.scale
+    def px(x) -> str:
+        return _fmt(_MARGIN + (float(x) - x0) * scale)
 
-    def vertex(self, v: ExtendedRational) -> tuple[str, str]:
-        """Formatted pixel coordinates of the diagram vertex (p/q, 1/q),
-        computed from p and q with the same float operations as px and py.
-        The y text depends on q alone and is formatted once per q."""
-        y = self._y_by_den.get(v.den)
+    def py(y) -> str:
+        return _fmt(_MARGIN + (1.0 - float(y)) * scale)
+
+    y_by_den: dict[int, str] = {}
+
+    def vertex(v: ExtendedRational) -> tuple[str, str]:
+        # px and py of (p/q, 1/q) by the same float operations; y is cached per q.
+        y = y_by_den.get(v.den)
         if y is None:
-            y = self._y_by_den[v.den] = _fmt(self.margin + (1.0 - 1 / v.den) * self.scale)
-        return _fmt(self.margin + (v.num / v.den - self.x0) * self.scale), y
+            y = y_by_den[v.den] = _fmt(_MARGIN + (1.0 - 1 / v.den) * scale)
+        return _fmt(_MARGIN + (v.num / v.den - x0) * scale), y
 
-    def clip_line(self, line: ExtendedLine) -> tuple[PlanePoint, PlanePoint] | None:
-        """Exact intersection of the line with the box [lo, hi] x [0, 1]."""
-        zero = ExtendedRational(0)
-        one = ExtendedRational(1)
-        gamma = line.anchor.x
-        slope = line.slope
-
-        def y_at(x: ExtendedRational) -> ExtendedRational:
-            return (x - gamma) * slope
-
-        def x_at(y: ExtendedRational) -> ExtendedRational:
-            return gamma + y / slope
-
-        pts: list[PlanePoint] = []
-        for x in (self.lo, self.hi):
-            y = y_at(x)
-            if zero <= y <= one:
-                pts.append(PlanePoint(x, y))
-        for y in (zero, one):
-            x = x_at(y)
-            if self.lo <= x <= self.hi:
-                pts.append(PlanePoint(x, y))
-        uniq = sorted(set(pts), key=lambda p: (p.x, p.y))
-        if len(uniq) < 2:
-            return None
-        return uniq[0], uniq[-1]
-
-
-def render_svg(
-    diagram: Diagram,
-    overlays: tuple[Overlay, ...] | list[Overlay] = (),
-    *,
-    width: int = 720,
-    margin: int = 24,
-) -> str:
-    frame = _Frame(diagram.lo, diagram.hi, width, margin)
-    height = frame.height
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="{_XMLNS}" version="1.1" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_WIDTH}" '
+        f'height="{height}" viewBox="0 0 {_WIDTH} {height}">',
+        f'<rect width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
+        '<g class="edges" stroke="#999999" stroke-width="0.7" stroke-linecap="round">',
     ]
-
-    out.append('<g class="edges" stroke="#999999" stroke-width="0.7" stroke-linecap="round">')
     # Edges come grouped by their left end, so format that end once per group.
     left = None
     for a, b in diagram.edges:
         if a is not left:
             left = a
-            ax, ay = frame.vertex(a)
-        bx, by = frame.vertex(b)
+            ax, ay = vertex(a)
+        bx, by = vertex(b)
         out.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
     out.append("</g>")
 
     out.append('<g class="vertices" fill="#1a1a1a">')
     for v in diagram.vertices:
-        x, y = frame.vertex(v)
+        x, y = vertex(v)
         out.append(f'<circle cx="{x}" cy="{y}" r="{_fmt(max(1.2, 8.0 / v.den))}"/>')
     out.append("</g>")
 
     for ov in overlays:
         if isinstance(ov, FunnelOverlay):
-            out.append(
-                f'<g class="funnel" fill="{ov.fill}" fill-opacity="0.55" '
-                f'stroke="{ov.stroke}" stroke-width="0.9">'
-            )
+            out.append('<g class="funnel" fill="#ffd9ec" fill-opacity="0.55" '
+                       'stroke="#c2185b" stroke-width="0.9">')
             for tri in ov.funnel.triangles:
-                pts = " ".join(f"{x},{y}" for x, y in map(frame.vertex, tri))
+                pts = " ".join(f"{x},{y}" for x, y in map(vertex, tri))
                 out.append(f'<polygon points="{pts}"/>')
-            ray_x = _fmt(frame.px(ov.funnel.alpha))
-            out.append(
-                f'<line x1="{ray_x}" y1="{_fmt(frame.py(ExtendedRational(1)))}" '
-                f'x2="{ray_x}" y2="{_fmt(frame.py(ExtendedRational(0)))}" '
-                f'stroke-dasharray="4 3" stroke-width="0.8"/>'
-            )
+            ray_x = px(ov.funnel.alpha)
+            out.append(f'<line x1="{ray_x}" y1="{py(1)}" x2="{ray_x}" y2="{py(0)}" '
+                       f'stroke-dasharray="4 3" stroke-width="0.8"/>')
             out.append("</g>")
         elif isinstance(ov, LineOverlay):
-            seg = frame.clip_line(ov.line)
-            out.append(
-                f'<g class="family-line" stroke="{ov.color}" '
-                f'stroke-width="{_fmt(ov.width)}" fill="none">'
-            )
+            out.append('<g class="family-line" stroke="#1158d6" stroke-width="1.4" fill="none">')
+            seg = _clip(ov.line, diagram.lo, diagram.hi)
             if seg is not None:
-                p1, p2 = seg
-                out.append(
-                    f'<line x1="{_fmt(frame.px(p1.x))}" y1="{_fmt(frame.py(p1.y))}" '
-                    f'x2="{_fmt(frame.px(p2.x))}" y2="{_fmt(frame.py(p2.y))}"/>'
-                )
+                (x1, y1), (x2, y2) = seg
+                out.append(f'<line x1="{px(x1)}" y1="{py(y1)}" x2="{px(x2)}" y2="{py(y2)}"/>')
             out.append("</g>")
         elif isinstance(ov, PointOverlay):
             out.append(f'<g class="family-points" fill="{ov.color}">')
             for p in ov.points:
-                if p.at_infinity:
-                    continue
-                out.append(
-                    f'<circle cx="{_fmt(frame.px(p.x))}" cy="{_fmt(frame.py(p.y))}" '
-                    f'r="{_fmt(ov.radius)}"/>'
-                )
+                if not p.at_infinity:
+                    out.append(f'<circle cx="{px(p.x)}" cy="{py(p.y)}" r="3"/>')
             out.append("</g>")
         else:
             raise TypeError(f"unknown overlay {ov!r}")

@@ -219,7 +219,6 @@ def int_text(n: int) -> str:
 
 INFINITY = ExtendedRational(1, 0)
 ZERO = ExtendedRational(0, 1)
-ONE = ExtendedRational(1, 1)
 
 
 def make_rational(num: int, den: int) -> ExtendedRational:
@@ -269,10 +268,6 @@ class PlanePoint:
             raise DomainError("finite points need both coordinates")
         elif self.x.is_infinite or self.y.is_infinite:
             raise DomainError("finite points need finite coordinates")
-
-    @classmethod
-    def finite(cls, x: ExtendedRational, y: ExtendedRational) -> "PlanePoint":
-        return cls(x, y)
 
     def reflected(self) -> "PlanePoint":
         """Mirror image across the x-axis (fixes the infinite point)."""

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from sternbrocot import cli, diagram
 from sternbrocot.cli import MAX_SVG_DENOM, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -235,6 +237,61 @@ class TestSvgDensityCap:
         assert run(argv + [str(target)]) == 3
         assert out_of(capsys)[1] == "error: max_den must be positive\n"
         assert not target.exists()
+
+
+class TestFunnelIndexOrder:
+    @pytest.mark.parametrize("rational", ["2/7", "-4/7", "-13/5", "355/113", "-1/9"])
+    def test_text_and_json_list_indices_in_increasing_order(self, rational, capsys):
+        assert run(["funnel", "--json", "--", rational]) == 0
+        keys = list(json.loads(out_of(capsys)[0])["indices"])
+        values = [Fraction(k) for k in keys]
+        assert values == sorted(values) and len(set(values)) == len(values)
+        assert run(["funnel", "--", rational]) == 0
+        line = [ln for ln in out_of(capsys)[0].splitlines() if ln.startswith("indices:")][0]
+        assert [item.rsplit(":", 1)[0] for item in line.split()[1:]] == keys
+
+
+class TestFunnelSvgRefusedBeforeWork:
+    def test_q_above_the_cap_never_builds_the_funnel(self, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("funnel was built")
+
+        monkeypatch.setattr(diagram, "funnel", boom)
+        monkeypatch.setattr(diagram, "verify_funnel_theorem", boom)
+        target = tmp_path / "F.svg"
+        assert run(["funnel", "1/100000", "--svg", str(target)]) == 3
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: SVG window density 100000 ") and err.count("\n") == 1
+        assert not target.exists()
+
+
+class TestSvgWindowSizeCap:
+    @pytest.mark.parametrize("window, density", [("-1000..1000", "60"), ("0..2", "400")])
+    def test_too_large_a_window_is_exit_3_and_writes_nothing(self, window, density,
+                                                             tmp_path, capsys):
+        target = tmp_path / "W.svg"
+        assert run(["diagram", "--window", window, "--max-denom", density,
+                    "--svg", str(target)]) == 3
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith(f"error: SVG window {window} at density {density} ")
+        assert err.count("\n") == 1
+        assert not target.exists()
+
+    def test_the_bound_is_a_unit_window_at_the_density_cap(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SVG_DENOM", 10)
+        target = tmp_path / "W.svg"
+        # (hi - lo) * density^2 against 10^2: 4 * 25 is drawn, 4 * 36 is not.
+        assert run(["diagram", "--window", "0..4", "--max-denom", "5", "--svg", str(target)]) == 0
+        assert target.exists()
+        target.unlink()
+        assert run(["diagram", "--window", "0..4", "--max-denom", "6", "--svg", str(target)]) == 3
+        assert "too large" in out_of(capsys)[1]
+        assert not target.exists()
+        # Sub-unit windows may be denser than the cap allows a unit window.
+        assert run(["diagram", "--window", "0..1/4", "--max-denom", "10", "--svg", str(target)]) == 0
 
 
 class TestLinkCommands:

@@ -439,6 +439,17 @@ class TestFunnelAgainstSearchPathOracle:
         assert sum(len(t) == 2 for t in expansions) >= 5
 
 
+class TestIndexOrder:
+    """The CLI lists indices as left_edge then reversed(right_edge); with
+    left < alpha < right, the left edge ascending and the right edge
+    descending, that is the sorted order of the index keys."""
+
+    def test_edges_give_the_sorted_index_order(self):
+        for seed in range(300):
+            f = funnel(evaluate(CF(random_expansion(seed))))
+            assert [*f.left_edge, *reversed(f.right_edge)] == sorted(f.indices), seed
+
+
 class TestVerifierRecount:
     """verify_funnel_theorem recounts the indices itself, so a funnel that
     reports a wrong index fails, whichever vertex it is."""
