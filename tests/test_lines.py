@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from sternbrocot import (
     line_family,
     vertex_point,
 )
-from oracles import matrix_eval_pair
+from oracles import matrix_eval_pair, nu_frac
 
 R = ExtendedRational
 CF = ContinuedFraction
@@ -226,6 +227,31 @@ class TestDistanceProfile:
     def test_rejects_short_profiles(self):
         with pytest.raises(DomainError):
             fam_0_3_m_4().squared_distance_profile(1)
+
+    def test_entries_match_the_oracle_distance(self):
+        # Each entry is (x - gamma)^2 + y^2 for the vertex (x, y) of the
+        # substituted sequence, computed in Fraction; None exactly at 1/0.
+        rng = random.Random(41)
+        seen_negative_a0 = seen_slot_one = False
+        for _ in range(200):
+            fam = random_standard_family(rng)
+            seen_negative_a0 |= fam.shift < 0
+            seen_slot_one |= fam.slot == 1
+            gamma = Fraction(*matrix_eval_pair((fam.shift, *fam.prefix)))
+            pos, neg = fam.squared_distance_profile(12)
+            for ms, entries in ((range(0, 13), pos), (range(-1, -13, -1), neg)):
+                assert len(entries) == len(ms)
+                for m, entry in zip(ms, entries):
+                    terms = list(fam.base.terms)
+                    terms[fam.slot] = m
+                    p, q = matrix_eval_pair(terms)
+                    if q == 0:
+                        assert entry is None
+                        continue
+                    x, y = nu_frac(Fraction(p, q))
+                    assert entry is not None and entry.den > 0
+                    assert Fraction(entry.num, entry.den) == (x - gamma) ** 2 + y ** 2
+        assert seen_negative_a0 and seen_slot_one
 
 
 class TestSharedPartner:
