@@ -8,7 +8,7 @@ Exit codes: 0 success, 2 parse error or unusable argument (such as an
 SVG path that cannot be written), 3 domain error, 4 internal invariant
 violation (a failed theorem clause is an implementation bug).
 
-Two limits keep every run bounded and end in those codes.  Integers pass
+Three limits keep every run bounded and end in those codes.  Integers pass
 between text and int only up to Python's int/text digit limit
 (sys.get_int_max_str_digits(), 4300 digits by default; the guard against
 quadratic conversions stays on): a longer input integer is a parse error
@@ -18,7 +18,13 @@ windows are drawn at density at most MAX_SVG_DENOM = 400 (--max-denom;
 building the funnel), and no window may cost more than a unit window at
 that cap: (hi - lo) * density^2 <= 400^2, so `diagram --window 0..2` is
 drawn up to density 282 and `-1000..1000` up to density 8.  A denser or
-wider window is a domain error (3) and writes no file.
+wider window is a domain error (3) and writes no file.  The same budget,
+400^2 = 160,000, bounds the two commands whose work grows with an input's
+value: `funnel` of p/q refuses a strip of more than 160,000 triangles
+(a_1 + ... + a_n - 1 for its standard expansion, so `funnel 1/160001`
+runs and `funnel 1/160002` does not), and `lines` refuses a --range of more
+than 160,000 members.  Both are checked before any work, end in exit 3
+with one stderr line and print nothing to stdout.
 """
 
 from __future__ import annotations
@@ -83,6 +89,13 @@ def _family_from_hole(text: str) -> LineFamily:
     return line_family(ContinuedFraction(tuple(terms)), hole)
 
 
+def _check_budget(cost, what: str) -> None:
+    """Refuse work of the given size above that of a unit SVG window at the
+    density cap, MAX_SVG_DENOM^2 (read at call time)."""
+    if cost > MAX_SVG_DENOM ** 2:
+        raise DomainError(f"{what} must be at most {MAX_SVG_DENOM}^2, a unit window at the cap")
+
+
 def _check_svg_density(max_den: int) -> None:
     if max_den > MAX_SVG_DENOM:
         raise DomainError(
@@ -100,14 +113,11 @@ def _write_window_svg(
 ) -> diagram.Diagram:
     """Build the window [lo, hi], draw it with the overlays and write the SVG."""
     _check_svg_density(max_den)
-    # A window's work grows as (hi - lo) * max_den^2; allow that of a unit
-    # window at the cap.  Windows build_diagram rejects are left to it.
-    if (not (lo.is_infinite or hi.is_infinite) and max_den > 0
-            and (hi - lo) * max_den ** 2 > MAX_SVG_DENOM ** 2):
-        raise DomainError(
-            f"SVG window {lo}..{hi} at density {max_den} is too large: (hi - lo) * "
-            f"density^2 must be at most {MAX_SVG_DENOM}^2, a unit window at the cap"
-        )
+    # A window's work grows as (hi - lo) * max_den^2.  Windows build_diagram
+    # rejects are left to it.
+    if not (lo.is_infinite or hi.is_infinite) and max_den > 0:
+        _check_budget((hi - lo) * max_den ** 2, f"SVG window {lo}..{hi} at density "
+                      f"{max_den} is too large: (hi - lo) * density^2")
     d = diagram.build_diagram(lo, hi, max_den)
     svg = figures.render_svg(d, overlays)
     try:
@@ -142,6 +152,9 @@ def _cmd_funnel(args) -> int:
     alpha = ExtendedRational.parse(args.rational)
     if args.svg:
         _check_svg_density(max(args.max_denom, alpha.den))
+    if not alpha.is_infinite:  # diagram.funnel words the refusal of 1/0
+        strip = sum(contfrac.standard_expansion(alpha).terms[1:]) - 1
+        _check_budget(strip, "funnel is too large: its number of triangles")
     f = diagram.funnel(alpha)
     report = diagram.verify_funnel_theorem(f.expansion)
     # Increasing order: left < alpha < right, left ascends, right descends.
@@ -190,6 +203,7 @@ def _point_json(pt) -> dict:
 def _cmd_lines(args) -> int:
     fam = _family_from_hole(args.sequence)
     lo, hi = _parse_range(args.range)
+    _check_budget(hi - lo + 1, "--range is too large: its number of members")
     plus, minus = fam.line_pair()
     root = fam.denominator_root()
     rows = [(m, fam.value(m), fam.side(m)) for m in range(lo, hi + 1)]

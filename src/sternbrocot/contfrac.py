@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .rationals import ExtendedRational, int_text, make_rational, parse_int
+from .rationals import ExtendedRational, int_text, parse_int
 
 _CF_RE = re.compile(r"\A\s*\[\s*([+-]?\d+)\s*(?:;\s*(.*?)\s*)?\]\s*\Z")
 _TERM_RE = re.compile(r"\A[+-]?\d+\Z")
@@ -197,7 +197,7 @@ def evaluate(seq: ContinuedFraction | Sequence[int]) -> ExtendedRational:
     terms = _as_terms(seq)
     m = IntMat2.translation(terms[0]) @ continuant_product(terms[1:])
     p, q = m.column(1)
-    return make_rational(p, q)
+    return ExtendedRational(p, q)
 
 
 def standard_expansion(value: ExtendedRational) -> ContinuedFraction:
@@ -226,10 +226,10 @@ def convergents(seq: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRationa
     """Values of all prefixes [a0; a1, ..., aj], built from one running product."""
     terms = _as_terms(seq)
     m = IntMat2.translation(terms[0])
-    out = [make_rational(*m.column(1))]
+    out = [ExtendedRational(*m.column(1))]
     for t in terms[1:]:
         m = m @ IntMat2.continuant(t)
-        out.append(make_rational(*m.column(1)))
+        out.append(ExtendedRational(*m.column(1)))
     return tuple(out)
 
 
@@ -242,7 +242,7 @@ def mobius_apply(m: IntMat2, x: ExtendedRational) -> ExtendedRational:
     """
     if m.det() == 0:
         raise DomainError("Mobius action needs a nonsingular matrix")
-    return make_rational(*m.apply(x.num, x.den))
+    return ExtendedRational(*m.apply(x.num, x.den))
 
 
 class RangeBracket(enum.Enum):

@@ -13,9 +13,12 @@ shifted horizontally by a0.  All vertices (N/D, 1/D) lie on one extended
 line through the anchor (gamma, 0), gamma = a0 + t/u, and the actual
 diagram vertices land on that line when D(m) > 0 and on its mirror image
 across the x-axis when D(m) < 0; D(m) = 0 puts the point at infinity.
-D is strictly increasing (u*w > 0), its real root lies in (-2, 0) -- in
-(-1, 0) when i = 1 -- and squared distances to the anchor shrink strictly
-along both tails.
+D is strictly increasing (u*w > 0), and its real root lies in (-2, 0) --
+in (-1, 0) when i = 1.  Since N(m)*u - t*D(m) = +-w, the vertex sits at
+(+-w, u) / (u*D(m)) from the anchor, so its squared distance to the anchor
+is (w^2 + u^2) / (u*D(m))^2, which shrinks strictly along both tails.
+Everything is computed from these integers; ExtendedRational appears only
+in returned values.
 """
 
 from __future__ import annotations
@@ -25,13 +28,7 @@ from dataclasses import dataclass
 
 from .contfrac import ContinuedFraction, IntMat2, continuant_product
 from .errors import DomainError, InvariantViolation
-from .rationals import (
-    ExtendedRational,
-    PlanePoint,
-    ZERO,
-    make_rational,
-    vertex_point,
-)
+from .rationals import ExtendedRational, PlanePoint, vertex_point
 
 
 class Side(enum.Enum):
@@ -54,9 +51,9 @@ class ExtendedLine:
     def __post_init__(self):
         if self.anchor.at_infinity or self.through.at_infinity:
             raise DomainError("lines are anchored at finite points")
-        if self.anchor.y != ZERO:
+        if self.anchor.y.num != 0:
             raise DomainError("anchor must sit on the x-axis")
-        if self.through.y == ZERO:
+        if self.through.y.num == 0:
             raise DomainError("second point must leave the x-axis")
 
     @property
@@ -126,7 +123,7 @@ class LineFamily:
     def value(self, m: int) -> ExtendedRational:
         """The substituted continued fraction's value, infinity included."""
         d = self.denominator_at(m)
-        return make_rational(self.numerator_at(m) + self.shift * d, d)
+        return ExtendedRational(self.numerator_at(m) + self.shift * d, d)
 
     def vertex(self, m: int) -> PlanePoint:
         return vertex_point(self.value(m))
@@ -146,7 +143,7 @@ class LineFamily:
 
     def line_pair(self) -> tuple[ExtendedLine, ExtendedLine]:
         """The upward line through (gamma, 0) and the m=1 vertex, and its mirror."""
-        anchor = PlanePoint(self.anchor_x, ZERO)
+        anchor = PlanePoint(self.anchor_x, ExtendedRational(0))
         plus = ExtendedLine(anchor, self.vertex(1))
         return plus, plus.reflected()
 
@@ -156,11 +153,12 @@ class LineFamily:
         For n = 1 the root is exactly 0 (the one family shape whose m = 0
         member is infinite).
         """
-        root = make_rational(-self.den_coeffs[1], self.den_coeffs[0])
+        c1, c0 = self.den_coeffs  # root -c0/c1 with c1 > 0
+        root = ExtendedRational(-c0, c1)
         if self.degree >= 2:
-            if not (ExtendedRational(-2) < root < ZERO):
+            if not 0 < c0 < 2 * c1:
                 raise InvariantViolation(f"root {root} of D outside (-2, 0)")
-            if self.slot == 1 and not (ExtendedRational(-1) < root):
+            if self.slot == 1 and not c0 < c1:
                 raise InvariantViolation(f"root {root} outside (-1, 0) with slot 1")
         return root
 
@@ -168,33 +166,27 @@ class LineFamily:
         self, count: int
     ) -> tuple[tuple[ExtendedRational | None, ...], tuple[ExtendedRational | None, ...]]:
         """Exact squared distances |vertex(m) - (gamma, 0)|^2 for m = 0..count
-        and m = -1..-count; None marks infinite members.
+        and m = -1..-count; None marks infinite members (D(m) = 0).
 
-        Monotone decrease on m >= 0 and on m <= -2 is re-checked here, since
-        it is an identity: the squared distance is a constant over D(m)^2.
+        Each is the closed form (w^2 + u^2) / (u*D(m))^2 with u the prefix's
+        denominator and w the suffix's bottom entry.  Strict decrease over
+        the finite entries on m >= 0 and on m <= -2 is re-checked here.
         """
         if count < 2:
             raise DomainError("need count >= 2")
+        u, w = self.prefix_matrix.d, self.suffix_column[1]
+        top = w * w + u * u
 
         def sq(m: int) -> ExtendedRational | None:
-            val = self.value(m)
-            if val.is_infinite:
-                return None
-            dx = val - self.anchor_x
-            dy = ExtendedRational(1, val.den)
-            return dx * dx + dy * dy
+            d = self.denominator_at(m)
+            return ExtendedRational(top, (u * d) ** 2) if d else None
 
         pos = tuple(sq(m) for m in range(0, count + 1))
         neg = tuple(sq(m) for m in range(-1, -count - 1, -1))
-        for label, seq_ in (("m>=0", pos), ("m<=-2", neg[1:])):
-            prev = None
-            for d in seq_:
-                if d is None:
-                    prev = None
-                    continue
-                if prev is not None and not d < prev:
-                    raise InvariantViolation(f"squared distances not decreasing on {label}")
-                prev = d
+        for label, tail in (("m>=0", pos), ("m<=-2", neg[1:])):
+            finite = [d for d in tail if d is not None]
+            if not all(b < a for a, b in zip(finite, finite[1:])):
+                raise InvariantViolation(f"squared distances not decreasing on {label}")
         return pos, neg
 
     def shared_line_partner(self) -> "LineFamily | None":
@@ -248,5 +240,5 @@ def line_family(seq: ContinuedFraction, slot: int) -> LineFamily:
         suffix_column=(v, w),
         num_coeffs=(t * w, r * w + t * v),
         den_coeffs=(u * w, s * w + u * v),
-        anchor_x=make_rational(terms[0] * u + t, u),
+        anchor_x=ExtendedRational(terms[0] * u + t, u),
     )

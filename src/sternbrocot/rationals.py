@@ -7,8 +7,9 @@ point (p/q, 1/q); the infinite value maps to the added point of
 R^2 union {oo}.
 
 Everything here is immutable after construction and safe to share between
-threads.  Floating point never appears; rendering code converts to floats
-at the last moment.
+threads; ExtendedRational enforces it, so assigning or deleting num or den
+raises AttributeError and a value's hash never changes.  Floating point
+never appears; rendering code converts to floats at the last moment.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ _RATIONAL_RE = re.compile(r"\A\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+))?\s*\Z")
 
 
 class ExtendedRational:
-    """A reduced fraction p/q with q >= 0, including the infinite value 1/0."""
+    """A reduced fraction p/q with q >= 0, including the infinite value 1/0.
+
+    Any integer pair normalizes: (p, 0) is 1/0 for every p != 0, and (0, 0)
+    is rejected.
+    """
 
     __slots__ = ("num", "den")
 
@@ -39,8 +44,14 @@ class ExtendedRational:
             if g > 1:
                 num //= g
                 den //= g
-        self.num = num
-        self.den = den
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExtendedRational is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ExtendedRational is immutable; cannot delete {name}")
 
     @classmethod
     def parse(cls, text: str) -> "ExtendedRational":
@@ -189,15 +200,17 @@ class ExtendedRational:
     def __str__(self) -> str:
         if self.den == 0:
             return "1/0"
-        try:
-            if self.den == 1:
-                return str(self.num)
-            return f"{self.num}/{self.den}"
-        except ValueError:
-            raise DomainError(too_many_digits("an integer of the result")) from None
+        if self.den == 1:
+            return int_text(self.num)
+        return f"{int_text(self.num)}/{int_text(self.den)}"
 
     def __repr__(self) -> str:
         return f"ExtendedRational({self.num}, {self.den})"
+
+
+# __setattr__ refuses every write, so __init__ stores through the slots.
+_set_num = ExtendedRational.num.__set__
+_set_den = ExtendedRational.den.__set__
 
 
 def parse_int(text: str) -> int:
@@ -218,15 +231,9 @@ def int_text(n: int) -> str:
 
 
 INFINITY = ExtendedRational(1, 0)
-ZERO = ExtendedRational(0, 1)
 
-
-def make_rational(num: int, den: int) -> ExtendedRational:
-    """Normalize an integer pair to lowest terms with den >= 0.
-
-    (p, 0) maps to 1/0 for every p != 0; (0, 0) is rejected.
-    """
-    return ExtendedRational(num, den)
+# Kept as a public name: the constructor already normalizes an integer pair.
+make_rational = ExtendedRational
 
 
 def is_farey_pair(a: ExtendedRational, b: ExtendedRational) -> bool:

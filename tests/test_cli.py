@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sternbrocot import cli, diagram
 from sternbrocot.cli import MAX_SVG_DENOM, run
@@ -338,3 +341,109 @@ class TestDeterminism:
         first = out_of(capsys)[0]
         assert run(["funnel", "13/30", "--json"]) == 0
         assert first == out_of(capsys)[0]
+
+
+class TestValueBoundedWork:
+    """funnel and lines do work that grows with an input's value; both are
+    held to the budget of a unit SVG window at the density cap."""
+
+    def test_funnel_above_the_budget_is_refused_before_the_walk(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("funnel was built")
+
+        monkeypatch.setattr(diagram, "funnel", boom)
+        for argv in (["funnel", "1/1000000"], ["funnel", "--json", "1/1000000"]):
+            assert run(argv) == 3
+            out, err = out_of(capsys)
+            assert out == ""
+            assert err.startswith("error: funnel is too large") and err.count("\n") == 1
+
+    def test_range_above_the_budget_is_refused(self, capsys):
+        assert run(["lines", "[0;3,_,4]", "--range", "0..1000000"]) == 3
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: --range is too large") and err.count("\n") == 1
+
+    def test_the_budget_is_a_unit_window_at_the_density_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SVG_DENOM", 10)
+        # 1/101 = [0;101] has a strip of 100 triangles; 0..99 has 100 members.
+        assert run(["funnel", "1/101"]) == 0
+        assert run(["lines", "[0;3,_,4]", "--range", "0..99"]) == 0
+        out_of(capsys)
+        for argv in (["funnel", "1/102"], ["lines", "[0;3,_,4]", "--range", "0..100"]):
+            assert run(argv) == 3
+            out, err = out_of(capsys)
+            assert out == ""
+            assert "must be at most 10^2" in err and err.count("\n") == 1
+
+    def test_integer_and_infinite_funnels_keep_their_messages(self, capsys):
+        assert run(["funnel", "5"]) == 3
+        assert "funnel of the integer 5 is degenerate" in out_of(capsys)[1]
+        assert run(["funnel", "1/0"]) == 3
+        assert out_of(capsys)[1] == "error: funnels are defined for finite rationals\n"
+
+
+# Fuzz vocabulary: small values, plus tokens every command must refuse cleanly.
+_BAD = ["0/0", "1/0", "-1", "-5/3", "garbage", "[0;", "_", "9" * 5000,
+        "0..10000000", "-99999999..99999999"]
+_SMALL = st.one_of(st.integers(-5, 5).map(str),
+                   st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 20)))
+_VALUE = st.one_of(_SMALL, st.sampled_from(_BAD))
+_RANGE = st.one_of(st.builds("{}..{}".format, st.integers(-8, 8), st.integers(-8, 8)),
+                   st.sampled_from(_BAD))
+_WINDOW = st.one_of(st.builds("{}..{}".format, _SMALL, _SMALL), st.sampled_from(_BAD))
+_DENOM = st.one_of(st.integers(1, 24).map(str), st.sampled_from(["0", "-1", "401"]))
+
+
+@st.composite
+def _sequence(draw, hole):
+    terms = [draw(st.integers(-3, 6)), *draw(st.lists(st.integers(0, 6), max_size=4))]
+    items = [str(t) for t in terms]
+    if hole:
+        items.insert(draw(st.integers(0, len(items))), "_")
+    return f"[{items[0]};{','.join(items[1:])}]" if len(items) > 1 else f"[{items[0]}]"
+
+
+@st.composite
+def _argv(draw, svg):
+    def positional(strategy):
+        return (["--"] if draw(st.booleans()) else []) + [draw(strategy)]
+
+    def optional(*flags):
+        return draw(st.sampled_from([[], *flags]))
+
+    output = optional(["--json"], ["--svg", svg], ["--json", "--svg", svg])
+    cmd = draw(st.sampled_from(["eval", "expand", "funnel", "lines", "diagram", "canon", "eq"]))
+    if cmd == "eval":
+        argv = ["eval", *positional(st.one_of(_sequence(False), _VALUE))]
+    elif cmd == "expand":
+        argv = ["expand", *positional(_VALUE)]
+    elif cmd == "funnel":
+        argv = ["funnel", *output, *optional(["--max-denom", draw(_DENOM)]), *positional(_VALUE)]
+    elif cmd == "lines":
+        argv = ["lines", *output, *optional(["--range", draw(_RANGE)]),
+                *optional(["--max-denom", draw(_DENOM)]), *positional(st.one_of(_sequence(True), _VALUE))]
+    elif cmd == "diagram":
+        argv = ["diagram", "--window", draw(_WINDOW), *optional(["--max-denom", draw(_DENOM)]),
+                "--svg", svg]
+    elif cmd == "canon":
+        argv = ["link", "canon", *optional(["--json"]), *positional(_VALUE)]
+    else:
+        argv = ["link", "eq", *optional(["--json"]), "--", draw(_VALUE), draw(_VALUE)]
+    return argv + (draw(st.sampled_from([["--bogus"], ["7"]])) if draw(st.integers(0, 9)) == 0 else [])
+
+
+class TestFuzzRun:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_run_ends_in_a_documented_exit_code(self, data, tmp_path):
+        argv = data.draw(_argv(str(tmp_path / "fuzz.svg")))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # argparse's own exits
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err.getvalue()

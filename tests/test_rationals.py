@@ -175,3 +175,24 @@ class TestArithmeticAndOrder:
         assert {R(2), 2} == {2}
         assert R(-1) in {-1} and R(0) in {0}
         assert {R(4, 2): 1}[2] == 1
+
+
+class TestImmutable:
+    @pytest.mark.parametrize("name", ["num", "den"])
+    def test_assignment_and_deletion_raise_and_keep_the_hash(self, name):
+        values = [R(5, 3), R(7), INFINITY]
+        hashes = [hash(v) for v in values]
+        members = set(values)
+        for v in values:
+            with pytest.raises(AttributeError):
+                setattr(v, name, 11)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+            with pytest.raises(AttributeError):
+                v.other = 1
+        assert [(v.num, v.den) for v in values] == [(5, 3), (7, 1), (1, 0)]
+        assert [hash(v) for v in values] == hashes
+        assert all(v in members for v in values) and R(10, 6) in members
+
+    def test_make_rational_is_the_constructor(self):
+        assert make_rational is ExtendedRational
