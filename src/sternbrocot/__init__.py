@@ -1,8 +1,9 @@
 """Exact continued fractions, the Stern-Brocot diagram and its funnels,
 line families across the diagram, and 2-bridge link fractions.
 
-Everything except SVG emission runs on exact arbitrary-precision rational
-arithmetic; all values are immutable and thread-safe.
+Everything except SVG emission runs on exact arbitrary-precision integer
+arithmetic; rational values (ExtendedRational) are immutable, thread-safe
+and carry no arithmetic operators.
 """
 
 from .contfrac import (

@@ -113,11 +113,14 @@ def _write_window_svg(
 ) -> diagram.Diagram:
     """Build the window [lo, hi], draw it with the overlays and write the SVG."""
     _check_svg_density(max_den)
-    # A window's work grows as (hi - lo) * max_den^2.  Windows build_diagram
-    # rejects are left to it.
+    # A window's work grows as (hi - lo) * max_den^2, passed rounded up: the
+    # budget B is an integer and x > B iff ceil(x) > B.  Windows
+    # build_diagram rejects are left to it.
     if not (lo.is_infinite or hi.is_infinite) and max_den > 0:
-        _check_budget((hi - lo) * max_den ** 2, f"SVG window {lo}..{hi} at density "
-                      f"{max_den} is too large: (hi - lo) * density^2")
+        width = hi.num * lo.den - lo.num * hi.den
+        _check_budget(-(-width * max_den ** 2 // (lo.den * hi.den)),
+                      f"SVG window {lo}..{hi} at density {max_den} is too large: "
+                      "(hi - lo) * density^2")
     d = diagram.build_diagram(lo, hi, max_den)
     svg = figures.render_svg(d, overlays)
     try:

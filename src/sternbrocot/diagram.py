@@ -125,8 +125,8 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
             triangles.append((x, s, t))
             s, sp, sq = t, tp, tq
 
-    k_lo = lo.floor()
-    k_hi = -((-hi).floor())  # ceil
+    k_lo = lo_p // lo_q
+    k_hi = -(-hi_p // hi_q)  # ceil
     for k in range(k_lo, k_hi):
         visit(k, 1, k + 1, 1)
         # In-order over the open interval (k, k+1): descend left from the

@@ -47,15 +47,22 @@ def _fmt(value: float) -> str:
 
 def _clip(line: ExtendedLine, lo: ExtendedRational, hi: ExtendedRational):
     """Exact end points (x, y) of the line inside the box [lo, hi] x [0, 1],
-    or None when the line meets the box in at most one point."""
-    gamma, slope = line.anchor.x, line.slope
+    or None when the line meets the box in at most one point.
+
+    The line is y = (e/f)(x - g/h), slope e/f through the anchor (g/h, 0);
+    a line family's slope is finite and nonzero.  Each crossing with a side
+    of the box is one integer fraction."""
+    g, h = line.anchor.x.num, line.anchor.x.den
+    slope = line.slope
+    e, f = slope.num, slope.den
     ends = []
     for x in (lo, hi):
-        y = (x - gamma) * slope
+        a, b = x.num, x.den
+        y = ExtendedRational(e * (a * h - g * b), f * b * h)
         if 0 <= y <= 1:
             ends.append((x, y))
     for y in (0, 1):
-        x = gamma + y / slope
+        x = ExtendedRational(g * e + y * f * h, h * e)
         if lo <= x <= hi:
             ends.append((x, y))
     ends.sort()
@@ -127,9 +134,10 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
             out.append("</g>")
         elif isinstance(ov, PointOverlay):
             out.append(f'<g class="family-points" fill="{ov.color}">')
-            for p in ov.points:
-                if not p.at_infinity:
-                    out.append(f'<circle cx="{px(p.x)}" cy="{py(p.y)}" r="3"/>')
+            # Family members pile up at the anchor: each distinct circle
+            # is written once, in the order it is first met.
+            out.extend(dict.fromkeys(f'<circle cx="{px(p.x)}" cy="{py(p.y)}" r="3"/>'
+                                     for p in ov.points if not p.at_infinity))
             out.append("</g>")
         else:
             raise TypeError(f"unknown overlay {ov!r}")

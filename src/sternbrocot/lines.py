@@ -63,7 +63,12 @@ class ExtendedLine:
 
     @property
     def slope(self) -> ExtendedRational:
-        return self.through.y / (self.through.x - self.anchor.x)
+        """(e/h) / (p/q - t/u) for the anchor t/u and the point (p/q, e/h);
+        1/0 for a vertical line."""
+        t, u = self.anchor.x.num, self.anchor.x.den
+        p, q = self.through.x.num, self.through.x.den
+        e, h = self.through.y.num, self.through.y.den
+        return ExtendedRational(e * q * u, h * (p * u - t * q))
 
     def contains(self, pt: PlanePoint) -> bool:
         """Exact membership; the infinite point belongs to every extended line.

@@ -1,4 +1,5 @@
-"""Exact extended-rational arithmetic and the plane embedding of rationals.
+"""Exact extended-rational values, their order, the Farey predicates and the
+plane embedding of rationals.
 
 Values are fractions p/q kept in lowest terms with q >= 0.  There is a
 single point at infinity, represented as 1/0 (so -1/0 normalizes to 1/0),
@@ -8,8 +9,10 @@ R^2 union {oo}.
 
 Everything here is immutable after construction and safe to share between
 threads; ExtendedRational enforces it, so assigning or deleting num or den
-raises AttributeError and a value's hash never changes.  Floating point
-never appears; rendering code converts to floats at the last moment.
+raises AttributeError and a value's hash never changes.  There are no
+arithmetic operators: callers compute with the integers num and den and
+build a new value from the result.  Floating point never appears;
+rendering code converts to floats at the last moment.
 """
 
 from __future__ import annotations
@@ -77,12 +80,8 @@ class ExtendedRational:
             raise DomainError("floor of 1/0")
         return self.num // self.den
 
-    def reciprocal(self) -> "ExtendedRational":
-        return ExtendedRational(self.den, self.num)
-
-    # -- arithmetic ------------------------------------------------------
-    # Infinity follows the projective conventions: oo + x = oo, 1/oo = 0,
-    # x/0 = oo for x != 0.  Indeterminate forms (oo + oo, 0 * oo, 0/0) raise.
+    # -- comparisons -----------------------------------------------------
+    # An int compares, hashes and orders as the integer value it names.
 
     @staticmethod
     def _coerce(other):
@@ -91,62 +90,6 @@ class ExtendedRational:
         if isinstance(other, int):
             return ExtendedRational(other)
         return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == 0 or o.den == 0:
-            if self.den == 0 and o.den == 0:
-                raise DomainError("1/0 + 1/0 is undefined")
-            return ExtendedRational(1, 0)
-        return ExtendedRational(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExtendedRational(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == 0 or o.den == 0:
-            if self.num == 0 or o.num == 0:
-                raise DomainError("0 * 1/0 is undefined")
-            return ExtendedRational(1, 0)
-        return ExtendedRational(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
-
-    def __abs__(self):
-        return ExtendedRational(abs(self.num), self.den)
-
-    # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -280,7 +223,7 @@ class PlanePoint:
         """Mirror image across the x-axis (fixes the infinite point)."""
         if self.at_infinity:
             return self
-        return PlanePoint(self.x, -self.y)
+        return PlanePoint(self.x, ExtendedRational(-self.y.num, self.y.den))
 
     def __str__(self) -> str:
         if self.at_infinity:

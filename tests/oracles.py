@@ -114,6 +114,21 @@ def nu_frac(x: Fraction) -> tuple[Fraction, Fraction]:
     return (x, Fraction(1, x.denominator))
 
 
+def clip_to_box(gamma: Fraction, slope: Fraction, lo: Fraction, hi: Fraction):
+    """End points, ordered by x, of the part of y = slope * (x - gamma) in
+    [lo, hi] x [0, 1], or None when that part is empty or one point.
+
+    The line has 0 <= y <= 1 exactly for x between gamma and
+    gamma + 1/slope (finite, nonzero slope); that interval is cut to
+    [lo, hi] and its two ends are put back on the line.
+    """
+    left, right = sorted((gamma, gamma + 1 / slope))
+    left, right = max(left, lo), min(right, hi)
+    if left >= right:
+        return None
+    return tuple((x, slope * (x - gamma)) for x in (left, right))
+
+
 def _orient(p, q, r) -> int:
     v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
     return (v > 0) - (v < 0)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sternbrocot import cli, diagram
+from sternbrocot import ContinuedFraction, ExtendedRational, cli, diagram, figures, line_family
 from sternbrocot.cli import MAX_SVG_DENOM, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -126,6 +126,39 @@ class TestLinesCommand:
                  "--max-denom", "30"]
             ) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @staticmethod
+    def point_groups(svg: str) -> list[tuple[str, list[str]]]:
+        groups, lines = [], None
+        for line in svg.splitlines():
+            if line.startswith('<g class="family-points"'):
+                lines = []
+                groups.append((line, lines))
+            elif line == "</g>":
+                lines = None
+            elif lines is not None:
+                lines.append(line)
+        return groups
+
+    def test_svg_writes_each_distinct_circle_once_per_point_group(self, tmp_path, capsys):
+        target = tmp_path / "F.svg"
+        assert run(["lines", "[0;3,_,4]", "--range", "-2000..1999", "--max-denom", "10",
+                    "--svg", str(target)]) == 0
+        drawn = self.point_groups(target.read_text())
+        assert len(drawn) == 2
+        assert all(len(lines) == len(set(lines)) for _, lines in drawn)
+        # The same window with one group, so one circle, per member.
+        fam = line_family(ContinuedFraction((0, 3, 1, 4)), 2)
+        singles = figures.render_svg(
+            diagram.build_diagram(ExtendedRational(0), ExtendedRational(1), 10),
+            [figures.PointOverlay((f.vertex(m),), color)
+             for f, color in ((fam, "#e0218a"), (fam.shared_line_partner(), "#d4a017"))
+             for m in range(-2000, 2000)],
+        )
+        expected: dict[str, set[str]] = {}
+        for head, lines in self.point_groups(singles):
+            expected.setdefault(head, set()).update(lines)
+        assert {head: set(lines) for head, lines in drawn} == expected
 
 
 class TestDiagramCommand:
@@ -295,6 +328,17 @@ class TestSvgWindowSizeCap:
         assert not target.exists()
         # Sub-unit windows may be denser than the cap allows a unit window.
         assert run(["diagram", "--window", "0..1/4", "--max-denom", "10", "--svg", str(target)]) == 0
+        target.unlink()
+        # A non-integer cost is rounded up, never down: (100/49) * 49 = 100
+        # is drawn, (201/98) * 49 = 100.5 is not.
+        assert run(["diagram", "--window", "0..100/49", "--max-denom", "7",
+                    "--svg", str(target)]) == 0
+        assert target.exists()
+        target.unlink()
+        assert run(["diagram", "--window", "0..201/98", "--max-denom", "7",
+                    "--svg", str(target)]) == 3
+        assert "too large" in out_of(capsys)[1]
+        assert not target.exists()
 
 
 class TestLinkCommands:

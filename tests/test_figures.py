@@ -1,4 +1,6 @@
+import random
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 from sternbrocot import (
     ContinuedFraction,
@@ -11,6 +13,8 @@ from sternbrocot import (
     line_family,
     render_svg,
 )
+from sternbrocot.figures import _clip
+from oracles import clip_to_box, frac_of
 
 R = ExtendedRational
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -90,3 +94,61 @@ def test_coordinates_use_six_significant_digits():
             seen += 1
             assert val == f"{float(val):.6g}"
     assert seen > 50
+
+
+class TestClipAgainstOracle:
+    """figures._clip and ExtendedLine.slope against oracles.clip_to_box over
+    seeded random families and windows."""
+
+    @staticmethod
+    def random_family(rng):
+        n = rng.randint(1, 6)
+        terms = [rng.randint(-9, 9)] + [rng.randint(1, 9) for _ in range(n - 1)]
+        terms.append(rng.randint(2, 9))
+        return line_family(ContinuedFraction(tuple(terms)), rng.randint(1, n))
+
+    @staticmethod
+    def exact(seg):
+        if seg is None:
+            return None
+        return tuple((frac_of(x), Fraction(y) if isinstance(y, int) else frac_of(y))
+                     for x, y in seg)
+
+    @staticmethod
+    def windows(rng, gamma, slope):
+        """Random windows with negative and non-integer ends, then one that
+        misses the line, two it touches at one point and two it leaves
+        through a corner, each checked to be that case by the oracle."""
+        out = []
+        while len(out) < 8:
+            lo, hi = sorted(gamma + Fraction(rng.randint(-60, 60), rng.randint(1, 7))
+                            for _ in range(2))
+            if lo < hi:
+                out.append((lo, hi))
+        left, right = sorted((gamma, gamma + 1 / slope))
+        half = Fraction(1, 2)
+        missing = (right + half, right + 3)
+        touching = [(right, right + half), (left - 3, left)]
+        cornered = [(left - half, right), (left, right + half)]
+        assert clip_to_box(gamma, slope, *missing) is None
+        for lo, hi in touching:
+            assert clip_to_box(gamma, slope, lo, hi) is None
+        for lo, hi in cornered:
+            seg = clip_to_box(gamma, slope, lo, hi)
+            assert seg is not None
+            assert any(x in (lo, hi) and y in (0, 1) for x, y in seg)
+        return out + [missing] + touching + cornered
+
+    def test_clip_and_slope_match_fractions(self):
+        rng = random.Random(2023)
+        for _ in range(150):
+            fam = self.random_family(rng)
+            gamma = frac_of(fam.anchor_x)
+            for line in fam.line_pair():
+                slope = frac_of(line.slope)
+                through = line.through
+                assert slope == frac_of(through.y) / (frac_of(through.x) - gamma)
+                for lo, hi in self.windows(rng, gamma, slope):
+                    got = _clip(line, R(lo.numerator, lo.denominator),
+                                R(hi.numerator, hi.denominator))
+                    assert self.exact(got) == clip_to_box(gamma, slope, lo, hi)

@@ -15,7 +15,7 @@ from sternbrocot import (
     line_family,
     vertex_point,
 )
-from oracles import matrix_eval_pair, nu_frac
+from oracles import frac_of, matrix_eval_pair, nu_frac
 
 R = ExtendedRational
 CF = ContinuedFraction
@@ -63,7 +63,7 @@ class TestFamilyConstruction:
             if m == -1:
                 assert fam.value(m) == INFINITY
             else:
-                assert fam.value(m) == R(2) + R(m, m + 1)
+                assert frac_of(fam.value(m)) == 2 + Fraction(m, m + 1)
 
     def test_0_2_1_m_2_family(self):
         fam = line_family(CF((0, 2, 1, 1, 2)), 3)
@@ -114,7 +114,7 @@ class TestLinePair:
         for _ in range(50):
             fam = random_standard_family(rng)
             plus, minus = fam.line_pair()
-            assert minus.slope == -plus.slope
+            assert (minus.slope.num, minus.slope.den) == (-plus.slope.num, plus.slope.den)
             assert minus.anchor == plus.anchor
 
 
@@ -218,10 +218,10 @@ class TestDistanceProfile:
                 val = fam.value(m)
                 if val.is_infinite:
                     continue
-                dx = val - fam.anchor_x
-                d2 = dx * dx + R(1, val.den) * R(1, val.den)
+                dx = frac_of(val) - frac_of(fam.anchor_x)
+                d2 = dx * dx + Fraction(1, val.den) ** 2
                 q = fam.denominator_at(m)
-                products.add(d2 * R(q * q))
+                products.add(d2 * q * q)
             assert len(products) == 1
 
     def test_rejects_short_profiles(self):
