@@ -48,7 +48,7 @@ class UsageError(Exception):
 
 # Densest window an SVG command draws.  A unit window at density N has
 # about 3N^2/pi^2 vertices, so time and file size grow as N^2: at the cap
-# `funnel 1/400 --svg` takes about 0.8 s and writes 7.9 MB.
+# `funnel 1/400 --svg` takes about 0.4 s and writes 7.9 MB.
 MAX_SVG_DENOM = 400
 
 _RANGE_RE = re.compile(r"\A(-?\d+)\.\.(-?\d+)\Z")
@@ -159,17 +159,23 @@ def _cmd_funnel(args) -> int:
         strip = sum(contfrac.standard_expansion(alpha).terms[1:]) - 1
         _check_budget(strip, "funnel is too large: its number of triangles")
     f = diagram.funnel(alpha)
-    report = diagram.verify_funnel_theorem(f.expansion)
+    report = diagram.verify_funnel_theorem(f)
     # Increasing order: left < alpha < right, left ascends, right descends.
     indexed = (*f.left_edge, *reversed(f.right_edge))
+    # Every strip vertex but alpha is on an edge, so each is written once;
+    # alpha, the bottom vertex, ends only the last triangle.
+    names = {id(v): str(v) for v in (*f.left_edge, *f.right_edge)}
+
+    def name(v: ExtendedRational) -> str:
+        return names.get(id(v)) or str(v)
 
     if args.json:
         _print_json(
             {
                 "base": str(f.alpha),
                 "terms": list(f.expansion.terms),
-                "triangles": [[str(v) for v in tri] for tri in f.triangles],
-                "indices": {str(v): f.indices[v] for v in indexed},
+                "triangles": [list(map(name, tri)) for tri in f.triangles],
+                "indices": {name(v): f.indices[v] for v in indexed},
             }
         )
     elif args.svg:
@@ -181,10 +187,10 @@ def _cmd_funnel(args) -> int:
         print(f"funnel of {f.alpha} = {f.expansion}")
         print("triangles (top to bottom):")
         for tri in f.triangles:
-            print("  " + " ".join(str(v) for v in tri))
-        print("left edge:  " + " ".join(str(v) for v in f.left_edge))
-        print("right edge: " + " ".join(str(v) for v in f.right_edge))
-        print("indices:    " + " ".join(f"{v}:{f.indices[v]}" for v in indexed))
+            print("  " + " ".join(map(name, tri)))
+        print("left edge:  " + " ".join(map(name, f.left_edge)))
+        print("right edge: " + " ".join(map(name, f.right_edge)))
+        print("indices:    " + " ".join(f"{name(v)}:{f.indices[v]}" for v in indexed))
 
     for clause in report.clauses:
         print(f"clause ({clause.name}): {'pass' if clause.passed else 'FAIL'} [{clause.detail}]",

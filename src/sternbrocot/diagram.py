@@ -296,21 +296,26 @@ class FunnelTheoremReport:
         }
 
 
-def verify_funnel_theorem(seq: ContinuedFraction) -> FunnelTheoremReport:
+def verify_funnel_theorem(seq: ContinuedFraction | Funnel) -> FunnelTheoremReport:
     """Check the funnel of evaluate(seq) against the expansion's terms.
 
-    The funnel's indices are also recounted from its triangles by integer
-    determinants, independently of funnel()'s own count; a disagreement
-    adds a failed "index recount" clause.  Any failed clause is an
-    implementation bug, never a property of the input; the report carries
-    the offending values verbatim.
+    Given a Funnel already built, check that one against its own
+    expansion and build nothing.  The funnel's indices are also recounted
+    from its triangles by integer determinants, independently of
+    funnel()'s own count; a disagreement adds a failed "index recount"
+    clause.  Any failed clause is an implementation bug, never a property
+    of the input; the report carries the offending values verbatim.
     """
-    if not seq.is_standard:
-        raise DomainError(f"{seq} is not standard")
-    if seq.degree < 1:
-        raise DomainError("need n >= 1 (a non-integer value)")
-    alpha = evaluate(seq)
-    f = funnel(alpha)
+    if isinstance(seq, Funnel):
+        f, seq = seq, seq.expansion
+        alpha = f.alpha
+    else:
+        if not seq.is_standard:
+            raise DomainError(f"{seq} is not standard")
+        if seq.degree < 1:
+            raise DomainError("need n >= 1 (a non-integer value)")
+        alpha = evaluate(seq)
+        f = funnel(alpha)
     terms = seq.terms
     n = seq.degree
     cs = f.convergents

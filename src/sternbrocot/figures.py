@@ -3,7 +3,9 @@
 All geometry stays exact until attribute emission, where coordinates are
 written with 6 significant digits.  Identical inputs produce byte-identical
 SVG text: elements follow the diagram's vertex, edge and triangle order,
-which is increasing in the exact values.
+which is increasing in the exact values.  Each vertex's x is formatted
+once, and its y and circle radius once per denominator; edges and funnel
+triangles reuse those texts.
 
 The styling is fixed: the window [lo, hi] x [0, 1] is drawn 720 px wide
 with a 24 px margin, and every stroke, fill and radius is a constant.  The
@@ -50,11 +52,14 @@ def _clip(line: ExtendedLine, lo: ExtendedRational, hi: ExtendedRational):
     or None when the line meets the box in at most one point.
 
     The line is y = (e/f)(x - g/h), slope e/f through the anchor (g/h, 0);
-    a line family's slope is finite and nonzero.  Each crossing with a side
-    of the box is one integer fraction."""
+    the slope is nonzero, and 1/0 when the line is x = g/h.  Each crossing
+    with a side of the box is one integer fraction."""
     g, h = line.anchor.x.num, line.anchor.x.den
     slope = line.slope
     e, f = slope.num, slope.den
+    if f == 0:
+        x = line.anchor.x
+        return ((x, 0), (x, 1)) if lo <= x <= hi else None
     ends = []
     for x in (lo, hi):
         a, b = x.num, x.den
@@ -82,14 +87,28 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
     def py(y) -> str:
         return _fmt(_MARGIN + (1.0 - float(y)) * scale)
 
-    y_by_den: dict[int, str] = {}
+    # The y and r texts of the vertices of denominator q.
+    by_den: dict[int, tuple[str, str]] = {}
 
     def vertex(v: ExtendedRational) -> tuple[str, str]:
-        # px and py of (p/q, 1/q) by the same float operations; y is cached per q.
-        y = y_by_den.get(v.den)
-        if y is None:
-            y = y_by_den[v.den] = _fmt(_MARGIN + (1.0 - 1 / v.den) * scale)
-        return _fmt(_MARGIN + (v.num / v.den - x0) * scale), y
+        """px and py of (p/q, 1/q) by the same float operations."""
+        q = v.den
+        yr = by_den.get(q)
+        if yr is None:
+            yr = by_den[q] = (_fmt(_MARGIN + (1.0 - 1 / q) * scale), _fmt(max(1.2, 8.0 / q)))
+        return _fmt(_MARGIN + (v.num / q - x0) * scale), yr[0]
+
+    # One pass over the vertices formats each once.  Edges and triangles
+    # read their ends back by identity; an end that is not one of the
+    # vertex objects, though it may equal one, is formatted afresh.
+    at: dict[int, tuple[str, str]] = {}
+    circles = []
+    for v in diagram.vertices:
+        x, y = at[id(v)] = vertex(v)
+        circles.append(f'<circle cx="{x}" cy="{y}" r="{by_den[v.den][1]}"/>')
+
+    def text(v: ExtendedRational) -> tuple[str, str]:
+        return at.get(id(v)) or vertex(v)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -98,20 +117,18 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
         f'<rect width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
         '<g class="edges" stroke="#999999" stroke-width="0.7" stroke-linecap="round">',
     ]
-    # Edges come grouped by their left end, so format that end once per group.
+    # Edges come grouped by their left end, so look that end up once per group.
     left = None
     for a, b in diagram.edges:
         if a is not left:
             left = a
-            ax, ay = vertex(a)
-        bx, by = vertex(b)
+            ax, ay = text(a)
+        bx, by = text(b)
         out.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
     out.append("</g>")
 
     out.append('<g class="vertices" fill="#1a1a1a">')
-    for v in diagram.vertices:
-        x, y = vertex(v)
-        out.append(f'<circle cx="{x}" cy="{y}" r="{_fmt(max(1.2, 8.0 / v.den))}"/>')
+    out += circles
     out.append("</g>")
 
     for ov in overlays:
@@ -119,7 +136,7 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
             out.append('<g class="funnel" fill="#ffd9ec" fill-opacity="0.55" '
                        'stroke="#c2185b" stroke-width="0.9">')
             for tri in ov.funnel.triangles:
-                pts = " ".join(f"{x},{y}" for x, y in map(vertex, tri))
+                pts = " ".join(f"{x},{y}" for x, y in map(text, tri))
                 out.append(f'<polygon points="{pts}"/>')
             ray_x = px(ov.funnel.alpha)
             out.append(f'<line x1="{ray_x}" y1="{py(1)}" x2="{ray_x}" y2="{py(0)}" '
@@ -142,5 +159,7 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
         else:
             raise TypeError(f"unknown overlay {ov!r}")
 
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    # Free the vertex texts before the one join, the peak of the run.
+    at.clear()
+    out.append("</svg>\n")
+    return "\n".join(out)

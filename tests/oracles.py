@@ -114,14 +114,18 @@ def nu_frac(x: Fraction) -> tuple[Fraction, Fraction]:
     return (x, Fraction(1, x.denominator))
 
 
-def clip_to_box(gamma: Fraction, slope: Fraction, lo: Fraction, hi: Fraction):
+def clip_to_box(gamma: Fraction, slope: Fraction | None, lo: Fraction, hi: Fraction):
     """End points, ordered by x, of the part of y = slope * (x - gamma) in
     [lo, hi] x [0, 1], or None when that part is empty or one point.
 
     The line has 0 <= y <= 1 exactly for x between gamma and
     gamma + 1/slope (finite, nonzero slope); that interval is cut to
-    [lo, hi] and its two ends are put back on the line.
+    [lo, hi] and its two ends are put back on the line.  A slope of None
+    is the vertical line x = gamma, which crosses the box from y = 0 to
+    y = 1 when lo <= gamma <= hi.
     """
+    if slope is None:
+        return ((gamma, Fraction(0)), (gamma, Fraction(1))) if lo <= gamma <= hi else None
     left, right = sorted((gamma, gamma + 1 / slope))
     left, right = max(left, lo), min(right, hi)
     if left >= right:

@@ -287,6 +287,22 @@ class TestFunnelIndexOrder:
         assert [item.rsplit(":", 1)[0] for item in line.split()[1:]] == keys
 
 
+class TestFunnelBuiltOnce:
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["--svg", "F.svg"]], ids=["text", "json", "svg"])
+    def test_one_funnel_call_per_run(self, extra, tmp_path, capsys, monkeypatch):
+        built = []
+        real = diagram.funnel
+
+        def counting(alpha):
+            built.append(alpha)
+            return real(alpha)
+
+        monkeypatch.setattr(diagram, "funnel", counting)
+        monkeypatch.chdir(tmp_path)
+        assert run(["funnel", "13/30", *extra]) == 0
+        assert built == [ExtendedRational(13, 30)]
+
+
 class TestFunnelSvgRefusedBeforeWork:
     def test_q_above_the_cap_never_builds_the_funnel(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -479,6 +479,25 @@ class TestVerifierRecount:
         assert not report.all_passed
         assert "1/2 has no index" in report.clauses[-1].detail
 
+    @pytest.mark.parametrize("terms", [(0, 3, 2), (2, 5), (-3, 1, 4, 1, 2)])
+    def test_a_corrupt_funnel_passed_in_fails(self, monkeypatch, terms):
+        f = funnel(evaluate(CF(terms)))
+        assert verify_funnel_theorem(f) == verify_funnel_theorem(CF(terms))
+
+        def boom(alpha):
+            raise AssertionError("a funnel was built")
+
+        monkeypatch.setattr(diagram, "funnel", boom)
+        assert verify_funnel_theorem(f).all_passed
+        for v in f.indices:
+            bad = dict(f.indices)
+            bad[v] += 1
+            report = verify_funnel_theorem(dataclasses.replace(f, indices=MappingProxyType(bad)))
+            assert not report.all_passed, (terms, str(v))
+            recount = report.clauses[-1]
+            assert recount.name == "index recount" and not recount.passed
+            assert f"index({v})={bad[v]}," in recount.detail
+
     def test_correct_funnel_has_exactly_the_three_clauses(self):
         report = verify_funnel_theorem(CF((0, 3, 2)))
         assert [c.name for c in report.clauses] == [

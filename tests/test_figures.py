@@ -1,18 +1,25 @@
+import dataclasses
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import pytest
+
 from sternbrocot import (
     ContinuedFraction,
+    Diagram,
+    ExtendedLine,
     ExtendedRational,
     FunnelOverlay,
     LineOverlay,
+    PlanePoint,
     PointOverlay,
     build_diagram,
     funnel,
     line_family,
     render_svg,
 )
+from sternbrocot import figures
 from sternbrocot.figures import _clip
 from oracles import clip_to_box, frac_of
 
@@ -96,6 +103,52 @@ def test_coordinates_use_six_significant_digits():
     assert seen > 50
 
 
+class TestFormatOncePerVertex:
+    """render_svg formats each vertex once and each denominator's y and r
+    once, and reads edge and triangle ends back by identity."""
+
+    @staticmethod
+    def copied(v):
+        return R(v.num, v.den)
+
+    def test_equal_but_distinct_ends_render_the_same_bytes(self):
+        d = build_diagram(R(-1), R(1), 12)
+        f = funnel(R(-5, 7))
+        own = {(v.num, v.den): v for v in d.vertices}
+        shared_f = dataclasses.replace(f, triangles=tuple(
+            tuple(own[v.num, v.den] for v in tri) for tri in f.triangles))
+        distinct_d = dataclasses.replace(
+            d,
+            edges=tuple(tuple(map(self.copied, e)) for e in d.edges),
+            triangles=tuple(tuple(map(self.copied, t)) for t in d.triangles),
+        )
+        distinct_f = dataclasses.replace(f, triangles=tuple(
+            tuple(map(self.copied, tri)) for tri in f.triangles))
+        assert all(a is not b for (a, _), (b, _) in zip(d.edges, distinct_d.edges))
+        shared = render_svg(d, [FunnelOverlay(shared_f)])
+        assert render_svg(distinct_d, [FunnelOverlay(distinct_f)]) == shared
+        assert render_svg(d, [FunnelOverlay(f)]) == shared
+
+    def test_ends_outside_the_vertices_are_formatted_too(self):
+        d = build_diagram(R(0), R(1), 6)
+        sparse = Diagram(d.lo, d.hi, d.max_den, d.vertices[::2], d.edges, d.triangles)
+        lines = [ln for ln in render_svg(sparse).splitlines() if ln.startswith("<line ")]
+        assert lines == [ln for ln in render_svg(d).splitlines() if ln.startswith("<line ")]
+
+    @pytest.mark.parametrize("lo, hi, max_den", [(R(0), R(1), 60), (R(-3), R(-2), 40),
+                                                 (R(-7, 3), R(-1, 2), 25)])
+    def test_fmt_calls_are_one_per_vertex_and_two_per_denominator(self, monkeypatch, lo, hi, max_den):
+        d = build_diagram(lo, hi, max_den)
+        fmt = figures._fmt
+        calls = []
+        monkeypatch.setattr(figures, "_fmt", lambda value: calls.append(value) or fmt(value))
+        text = render_svg(d)
+        monkeypatch.undo()
+        assert text == render_svg(d)
+        dens = {v.den for v in d.vertices}
+        assert len(calls) <= len(d.vertices) + 2 * len(dens) + 1
+
+
 class TestClipAgainstOracle:
     """figures._clip and ExtendedLine.slope against oracles.clip_to_box over
     seeded random families and windows."""
@@ -152,3 +205,18 @@ class TestClipAgainstOracle:
                     got = _clip(line, R(lo.numerator, lo.denominator),
                                 R(hi.numerator, hi.denominator))
                     assert self.exact(got) == clip_to_box(gamma, slope, lo, hi)
+
+    @pytest.mark.parametrize("gamma, lo, hi", [
+        (Fraction(0), Fraction(-1), Fraction(1)),          # inside
+        (Fraction(-1, 2), Fraction(-1, 2), Fraction(3)),   # on the left side
+        (Fraction(3, 4), Fraction(0), Fraction(3, 4)),     # on the right side
+        (Fraction(2), Fraction(-1), Fraction(1)),          # outside
+        (Fraction(-7, 3), Fraction(-2), Fraction(5)),      # outside, to the left
+    ])
+    def test_vertical_line(self, gamma, lo, hi):
+        x = R(gamma.numerator, gamma.denominator)
+        line = ExtendedLine(PlanePoint(x, R(0)), PlanePoint(x, R(1, 3)))
+        assert line.slope == R(1, 0)
+        got = _clip(line, R(lo.numerator, lo.denominator), R(hi.numerator, hi.denominator))
+        assert self.exact(got) == clip_to_box(gamma, None, lo, hi)
+        assert (got is None) == (not lo <= gamma <= hi)
