@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from sternbrocot import (
     DomainError,
     ExtendedRational,
     INFINITY,
+    InvariantViolation,
     PlanePoint,
     Side,
     evaluate,
@@ -223,6 +225,17 @@ class TestDistanceProfile:
                 q = fam.denominator_at(m)
                 products.add(d2 * q * q)
             assert len(products) == 1
+
+    def test_non_monotone_tails_are_refused(self):
+        # Hand-built forms that no standard sequence gives: D(m) = m - 5
+        # shrinks in size on m >= 0, and D(m) = m + 5 passes through 0 on
+        # m <= -2; each breaks the strict decrease on its own tail.
+        fam = fam_0_3_m_4()
+        for coeffs, label in (((1, -5), "m>=0"), ((1, 5), "m<=-2")):
+            bad = dataclasses.replace(fam, den_coeffs=coeffs)
+            with pytest.raises(InvariantViolation, match=label):
+                bad.squared_distance_profile(8)
+        fam.squared_distance_profile(8)
 
     def test_rejects_short_profiles(self):
         with pytest.raises(DomainError):

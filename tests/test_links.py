@@ -15,7 +15,7 @@ from sternbrocot import (
     schubert_equivalent,
 )
 from sternbrocot.links import Hand, Row
-from oracles import frac_of, recursive_pair, schubert_class
+from oracles import frac_of, matrix_eval_pair, recursive_pair, schubert_class
 
 R = ExtendedRational
 CF = ContinuedFraction
@@ -148,6 +148,51 @@ class TestCanonicalFraction:
                     assert canonical_fraction(R(p2, q)).fraction == canon.fraction
                 assert Fraction(canon.fraction.num, canon.fraction.den) <= half
                 assert canon.sequence.terms[1] >= 2
+
+
+def assert_canonical_matches_oracle(p, q):
+    """canonical_fraction(p/q) is the class minimum over q, and its sequence
+    is a standard plat expansion (a1 >= 2) that evaluates to it."""
+    canon = canonical_fraction(R(p, q))
+    c = min(schubert_class(p, q))
+    assert (canon.fraction.num, canon.fraction.den) == (c, q)
+    terms = canon.sequence.terms
+    assert terms[0] == 0 and terms[1] >= 2
+    assert matrix_eval_pair(terms) == (c, q)
+
+
+class TestCanonicalFractionOracle:
+    def test_random_fractions_up_to_2_200(self):
+        rng = random.Random(8)
+        for _ in range(400):
+            q = rng.randint(2, 2 ** rng.randint(2, 200))
+            p = rng.randint(-3 * q, 3 * q)
+            while gcd(p, q) != 1:
+                p += 1
+            assert_canonical_matches_oracle(p, q)
+
+    def test_q_2_and_plus_minus_one(self):
+        assert_canonical_matches_oracle(1, 2)
+        assert_canonical_matches_oracle(-1, 2)
+        rng = random.Random(9)
+        for q in [3, 4, 5, 97] + [rng.randint(3, 2 ** 200) for _ in range(20)]:
+            for p in (1, -1, q - 1, q + 1, 1 - q, 5 * q + 1, -5 * q - 1):
+                assert_canonical_matches_oracle(p, q)
+
+    def test_palindromic_expansions_tie(self):
+        # [0; b1..bk] with a palindromic body has p^2 = +-1 (mod q): the
+        # class member p^{-1} coincides with +-p, so the class has two
+        # members in (0, 1/2] at most one of which can be smaller.
+        rng = random.Random(10)
+        for _ in range(200):
+            half = [rng.randint(2, 40)] + [rng.randint(1, 40) for _ in range(rng.randint(0, 30))]
+            body = half + half[::-1] if rng.random() < 0.5 else half + half[-2::-1]
+            p, q = matrix_eval_pair((0, *body))
+            assert (p * p) % q in (1, q - 1)
+            assert canonical_fraction(R(p, q)).sequence.terms == (0, *body)
+            for sign in (1, -1):
+                assert_canonical_matches_oracle(sign * p, q)
+                assert_canonical_matches_oracle(sign * (q - p), q)
 
 
 class TestLinkFamily:
