@@ -177,10 +177,10 @@ def continuant_product(terms: Iterable[int]) -> IntMat2:
     The running product after j factors has determinant (-1)^j, and its
     first column equals the previous product's second column.
     """
-    m = IntMat2.identity()
+    a, b, c, d = 1, 0, 0, 1
     for t in terms:
-        m = m @ IntMat2.continuant(t)
-    return m
+        a, b, c, d = b, a + b * t, d, c + d * t
+    return IntMat2(a, b, c, d)
 
 
 def _as_terms(seq: ContinuedFraction | Sequence[int]) -> tuple[int, ...]:
@@ -195,9 +195,8 @@ def _as_terms(seq: ContinuedFraction | Sequence[int]) -> tuple[int, ...]:
 def evaluate(seq: ContinuedFraction | Sequence[int]) -> ExtendedRational:
     """Evaluate [a0; a1, ..., an] exactly; 1/0 is a value, not an error."""
     terms = _as_terms(seq)
-    m = IntMat2.translation(terms[0]) @ continuant_product(terms[1:])
-    p, q = m.column(1)
-    return ExtendedRational(p, q)
+    m = continuant_product(terms[1:])
+    return ExtendedRational(m.b + terms[0] * m.d, m.d)
 
 
 def standard_expansion(value: ExtendedRational) -> ContinuedFraction:
@@ -225,11 +224,11 @@ def standard_expansion(value: ExtendedRational) -> ContinuedFraction:
 def convergents(seq: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRational, ...]:
     """Values of all prefixes [a0; a1, ..., aj], built from one running product."""
     terms = _as_terms(seq)
-    m = IntMat2.translation(terms[0])
-    out = [ExtendedRational(*m.column(1))]
+    a, b, c, d = 1, terms[0], 0, 1
+    out = [ExtendedRational(b, d)]
     for t in terms[1:]:
-        m = m @ IntMat2.continuant(t)
-        out.append(ExtendedRational(*m.column(1)))
+        a, b, c, d = b, a + b * t, d, c + d * t
+        out.append(ExtendedRational(b, d))
     return tuple(out)
 
 

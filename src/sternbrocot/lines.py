@@ -174,25 +174,25 @@ class LineFamily:
         and m = -1..-count; None marks infinite members (D(m) = 0).
 
         Each is the closed form (w^2 + u^2) / (u*D(m))^2 with u the prefix's
-        denominator and w the suffix's bottom entry.  Strict decrease over
-        the finite entries on m >= 0 and on m <= -2 is re-checked here.
+        denominator and w the suffix's bottom entry.  The numerator is
+        constant, so the strict decrease over the finite entries on m >= 0
+        and on m <= -2 is re-checked as a strict increase of |D(m)|.
         """
         if count < 2:
             raise DomainError("need count >= 2")
         u, w = self.prefix_matrix.d, self.suffix_column[1]
         top = w * w + u * u
+        pos_d = [self.denominator_at(m) for m in range(0, count + 1)]
+        neg_d = [self.denominator_at(m) for m in range(-1, -count - 1, -1)]
+        for label, tail in (("m>=0", pos_d), ("m<=-2", neg_d[1:])):
+            finite = [abs(d) for d in tail if d]
+            if not all(a < b for a, b in zip(finite, finite[1:])):
+                raise InvariantViolation(f"squared distances not decreasing on {label}")
 
-        def sq(m: int) -> ExtendedRational | None:
-            d = self.denominator_at(m)
+        def sq(d: int) -> ExtendedRational | None:
             return ExtendedRational(top, (u * d) ** 2) if d else None
 
-        pos = tuple(sq(m) for m in range(0, count + 1))
-        neg = tuple(sq(m) for m in range(-1, -count - 1, -1))
-        for label, tail in (("m>=0", pos), ("m<=-2", neg[1:])):
-            finite = [d for d in tail if d is not None]
-            if not all(b < a for a, b in zip(finite, finite[1:])):
-                raise InvariantViolation(f"squared distances not decreasing on {label}")
-        return pos, neg
+        return tuple(map(sq, pos_d)), tuple(map(sq, neg_d))
 
     def shared_line_partner(self) -> "LineFamily | None":
         """The other family with the same line pair, when one exists.

@@ -12,6 +12,12 @@ mirror images) iff q' = q and p' is congruent mod q to one of p, -p,
 p^{-1}, -p^{-1}.  The canonical representative picked here is the
 numerically smallest member of that class in [1, q-1]; it always lands
 in (0, 1/2], so its expansion has a1 >= 2.
+
+The class needs no modular inverse.  If x/q = [0; b1, ..., bk] with
+x <= q/2, the last-but-one convergent denominator K of that expansion
+satisfies x*K = +-1 (mod q) and K/q = [0; bk, ..., b1]: the inverse class
+member names the reversed expansion.  One Euclidean pass on x/q therefore
+yields both members in (0, 1/2] and their expansions.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .contfrac import ContinuedFraction, evaluate, standard_expansion
+from .contfrac import ContinuedFraction, evaluate
 from .errors import DomainError
 from .lines import LineFamily, line_family
 from .rationals import ExtendedRational
@@ -94,12 +100,6 @@ def plat_fraction(terms: Sequence[int]) -> ExtendedRational:
     return evaluate((0, *terms))
 
 
-def _mod_class(p: int, q: int) -> set[int]:
-    pm = p % q
-    inv = pow(pm, -1, q)
-    return {pm, q - pm, inv, q - inv}
-
-
 def schubert_equivalent(a: ExtendedRational, b: ExtendedRational) -> bool:
     """Schubert's criterion: equal denominators and p' = +-p^{+-1} (mod q).
 
@@ -110,9 +110,11 @@ def schubert_equivalent(a: ExtendedRational, b: ExtendedRational) -> bool:
         raise DomainError("1/0 does not classify a 2-bridge link")
     if a.den != b.den:
         return False
-    if a.den == 1:
+    q = a.den
+    if q == 1:
         return True
-    return b.num % a.den in _mod_class(a.num, a.den)
+    pa, pb = a.num % q, b.num % q
+    return pb == pa or pb == q - pa or pa * pb % q in (1, q - 1)
 
 
 @dataclass(frozen=True)
@@ -127,16 +129,34 @@ def canonical_fraction(x: ExtendedRational) -> CanonicalForm:
     The class {p, -p, p^{-1}, -p^{-1}} mod q is closed under p -> q - p, so
     its minimum is at most q/2 and the result lies in (0, 1/2]; its standard
     expansion therefore starts with a1 >= 2.  0/1 is the trivial fraction.
+
+    One Euclidean pass finds the minimum.  With r = p mod q, expand
+    x/q = [0; b1, ..., bk] for x = min(r, q - r); the last-but-one
+    convergent denominator K is +-p^{-1} mod q, at most q/2, and
+    K/q = [0; bk, ..., b1].  The result is x/q with the computed terms, or
+    K/q with them reversed when K < x.
     """
     if x.is_infinite:
         raise DomainError("1/0 does not classify a 2-bridge link")
-    if x.den == 1:
+    q = x.den
+    if q == 1:
         if x.num == 0:
             return CanonicalForm(ExtendedRational(0), ContinuedFraction((0,)))
         raise DomainError(f"nonzero integer {x} does not classify a 2-bridge link")
-    best = min(_mod_class(x.num, x.den))
-    fraction = ExtendedRational(best, x.den)
-    return CanonicalForm(fraction, standard_expansion(fraction))
+    r = x.num % q
+    low = min(r, q - r)
+    terms = []
+    a, b = q, low
+    k0, k1 = 0, 1  # consecutive convergent denominators of low/q
+    while b:
+        t, rem = divmod(a, b)
+        terms.append(t)
+        k0, k1 = k1, t * k1 + k0
+        a, b = b, rem
+    if k0 < low:
+        low = k0
+        terms.reverse()
+    return CanonicalForm(ExtendedRational(low, q), ContinuedFraction((0, *terms)))
 
 
 @dataclass(frozen=True)
