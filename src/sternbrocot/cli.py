@@ -162,12 +162,12 @@ def _cmd_funnel(args) -> int:
     report = diagram.verify_funnel_theorem(f)
     # Increasing order: left < alpha < right, left ascends, right descends.
     indexed = (*f.left_edge, *reversed(f.right_edge))
-    # Every strip vertex but alpha is on an edge, so each is written once;
-    # alpha, the bottom vertex, ends only the last triangle.
-    names = {id(v): str(v) for v in (*f.left_edge, *f.right_edge)}
+    # Every strip vertex is one object, on an edge or alpha itself, the
+    # bottom vertex; each is written once.
+    names = {id(v): str(v) for v in (*indexed, f.alpha)}
 
     def name(v: ExtendedRational) -> str:
-        return names.get(id(v)) or str(v)
+        return names[id(v)]
 
     if args.json:
         _print_json(

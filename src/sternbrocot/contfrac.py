@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError
 from .rationals import ExtendedRational, int_text, parse_int
@@ -64,9 +64,6 @@ class ContinuedFraction:
 
     def __str__(self) -> str:
         return format_terms(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
 
     def __len__(self):
         return len(self.terms)
@@ -113,16 +110,13 @@ def parse_terms(text: str, allow_hole: bool = False) -> tuple[list[int | None], 
     return terms, hole
 
 
-class IntMat2:
+class IntMat2(NamedTuple):
     """2x2 integer matrix [[a, b], [c, d]] with exact determinant."""
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+    a: int
+    b: int
+    c: int
+    d: int
 
     @classmethod
     def identity(cls) -> "IntMat2":
@@ -159,17 +153,6 @@ class IntMat2:
     def row(self, i: int) -> tuple[int, int]:
         return (self.a, self.b) if i == 0 else (self.c, self.d)
 
-    def __eq__(self, other):
-        if not isinstance(other, IntMat2):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"IntMat2({self.a}, {self.b}, {self.c}, {self.d})"
-
 
 def continuant_product(terms: Iterable[int]) -> IntMat2:
     """Product (0 1; 1 t1) ... (0 1; 1 tk); the identity for an empty list.
@@ -202,8 +185,9 @@ def evaluate(seq: ContinuedFraction | Sequence[int]) -> ExtendedRational:
 def standard_expansion(value: ExtendedRational) -> ContinuedFraction:
     """Unique standard expansion of a finite rational via the Euclidean algorithm.
 
-    The floor-based algorithm never emits a trailing 1, but a trailing
-    (..., a, 1) would be folded to (..., a+1) to keep the result standard.
+    The result is standard without adjustment: after the first step p > q,
+    so every later quotient is at least 1 and the last, p/q with q | p,
+    is at least 2.
     """
     if value.is_infinite:
         raise DomainError("1/0 has no standard expansion")
@@ -215,9 +199,6 @@ def standard_expansion(value: ExtendedRational) -> ContinuedFraction:
         if r == 0:
             break
         p, q = q, r
-    if len(terms) > 1 and terms[-1] == 1:
-        terms.pop()
-        terms[-1] += 1
     return ContinuedFraction(tuple(terms))
 
 

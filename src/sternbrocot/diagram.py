@@ -182,13 +182,14 @@ def funnel(alpha: ExtendedRational) -> Funnel:
     triangle of the current pair and its mediant m and descends toward
     alpha.  The walk runs on integer pairs: one cross product against
     alpha decides each step, and one ExtendedRational is made per new
-    vertex.  The ray strictly crosses one edge of each triangle, its base
-    (lo, hi); of the other two edges, one is the next triangle's base and
-    the other ends on alpha or lies on one side of the ray.  So the
-    crossing edges are the bases, each triangle adds one to the indices of
-    its lo and its hi, and the indices are counted as the walk runs.  The
-    cost is O(a_1 + ... + a_n) integer steps; no ExtendedRational is
-    compared, and each is hashed once, as a key of the index map.
+    vertex above alpha; the last triangle ends on alpha itself.  The ray
+    strictly crosses one edge of each triangle, its base (lo, hi); of the
+    other two edges, one is the next triangle's base and the other ends
+    on alpha or lies on one side of the ray.  So the crossing edges are
+    the bases, each triangle adds one to the indices of its lo and its
+    hi, and the indices are counted as the walk runs.  The cost is
+    O(a_1 + ... + a_n) integer steps; no ExtendedRational is compared,
+    and each is hashed once, as a key of the index map.
     """
     if alpha.is_infinite:
         raise DomainError("funnels are defined for finite rationals")
@@ -211,9 +212,9 @@ def funnel(alpha: ExtendedRational) -> Funnel:
     lo_since = hi_since = 0
     while True:
         mp, mq = lp + hp, lq + hq
-        m = ExtendedRational(mp, mq)
-        triangles.append((lo, m, hi))
         side = mp * b - a * mq
+        m = ExtendedRational(mp, mq) if side else alpha
+        triangles.append((lo, m, hi))
         if side > 0:  # alpha < m
             right_count.append(len(triangles) - hi_since)
             hi_since = len(triangles)

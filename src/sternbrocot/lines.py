@@ -230,7 +230,7 @@ def line_family(seq: ContinuedFraction, slot: int) -> LineFamily:
     pm = continuant_product(terms[1:slot])
     sm = continuant_product(terms[slot + 1:])
     v, w = sm.column(1)
-    r, t, s, u = pm.a, pm.b, pm.c, pm.d
+    r, t, s, u = pm
     if min(r, t, s, u, v, w) < 0:
         raise InvariantViolation("negative entry in a standard prefix/suffix product")
     if u * w <= 0:

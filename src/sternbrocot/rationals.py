@@ -17,6 +17,7 @@ rendering code converts to floats at the last moment.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .errors import DomainError, ParseError, too_many_digits
 _RATIONAL_RE = re.compile(r"\A\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+))?\s*\Z")
 
 
+@functools.total_ordering
 class ExtendedRational:
     """A reduced fraction p/q with q >= 0, including the infinite value 1/0.
 
@@ -75,11 +77,6 @@ class ExtendedRational:
     def is_integer(self) -> bool:
         return self.den == 1
 
-    def floor(self) -> int:
-        if self.den == 0:
-            raise DomainError("floor of 1/0")
-        return self.num // self.den
-
     # -- comparisons -----------------------------------------------------
     # An int compares, hashes and orders as the integer value it names.
 
@@ -103,37 +100,13 @@ class ExtendedRational:
             return hash(self.num)
         return hash((self.num, self.den))
 
-    def _cmp_key(self, other):
+    def __lt__(self, other):
         o = self._coerce(other)
         if o is None:
-            return None
+            return NotImplemented
         if self.den == 0 or o.den == 0:
             raise DomainError("1/0 is not ordered against other values")
-        return self.num * o.den, o.num * self.den
-
-    def __lt__(self, other):
-        k = self._cmp_key(other)
-        if k is None:
-            return NotImplemented
-        return k[0] < k[1]
-
-    def __le__(self, other):
-        k = self._cmp_key(other)
-        if k is None:
-            return NotImplemented
-        return k[0] <= k[1]
-
-    def __gt__(self, other):
-        k = self._cmp_key(other)
-        if k is None:
-            return NotImplemented
-        return k[0] > k[1]
-
-    def __ge__(self, other):
-        k = self._cmp_key(other)
-        if k is None:
-            return NotImplemented
-        return k[0] >= k[1]
+        return self.num * o.den < o.num * self.den
 
     def __float__(self) -> float:
         if self.den == 0:

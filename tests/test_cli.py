@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -103,6 +104,11 @@ class TestLinesCommand:
 
     def test_hole_cannot_be_the_leading_term(self, capsys):
         assert run(["lines", "[_;2,3]"]) == 2
+
+    def test_malformed_range_is_exit_2_with_one_line(self, capsys):
+        assert run(["lines", "[0;3,_,4]", "--range", "1..x"]) == 2
+        out, err = out_of(capsys)
+        assert out == "" and err.startswith("error: bad range") and err.count("\n") == 1
 
     def test_hole_in_first_slot(self, capsys):
         assert run(["lines", "[0;_,4]", "--range", "0..2", "--json"]) == 0
@@ -285,6 +291,25 @@ class TestFunnelIndexOrder:
         assert run(["funnel", "--", rational]) == 0
         line = [ln for ln in out_of(capsys)[0].splitlines() if ln.startswith("indices:")][0]
         assert [item.rsplit(":", 1)[0] for item in line.split()[1:]] == keys
+
+
+class TestInternalErrorExit:
+    """A failed theorem clause is an implementation bug: exit 4, the clause
+    printed as FAIL and one `internal error:` line on stderr."""
+
+    def test_a_failed_clause_is_exit_4(self, capsys, monkeypatch):
+        verify = diagram.verify_funnel_theorem
+
+        def failing(f):
+            report = verify(f)
+            planted = diagram.ClauseResult("planted", False, "planted failure")
+            return dataclasses.replace(report, clauses=(*report.clauses, planted))
+
+        monkeypatch.setattr(diagram, "verify_funnel_theorem", failing)
+        assert run(["funnel", "2/7"]) == 4
+        out, err = out_of(capsys)
+        assert "clause (planted): FAIL [planted failure]\n" in out
+        assert err == "internal error: funnel theorem failed for [0;3,2]\n"
 
 
 class TestFunnelBuiltOnce:

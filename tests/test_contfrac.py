@@ -15,6 +15,7 @@ from sternbrocot import (
     continuant_product,
     convergents,
     evaluate,
+    line_family,
     mobius_apply,
     standard_expansion,
 )
@@ -60,6 +61,16 @@ class TestEvaluate:
             for terms in itertools.product(alphabet, repeat=n):
                 got = evaluate(terms)
                 assert (got.num, got.den) == recursive_pair(terms), terms
+
+
+class TestInputChecks:
+    def test_empty_and_non_integer_terms_are_refused(self):
+        with pytest.raises(DomainError):
+            CF(())
+        with pytest.raises(DomainError):
+            CF((1, 2.5))
+        with pytest.raises(DomainError):
+            evaluate(())
 
 
 class TestStandardExpansion:
@@ -156,6 +167,27 @@ class TestContinuantProducts:
     def test_positive_terms_entries_positive_from_length_two(self, terms):
         m = continuant_product(terms)
         assert min(m.a, m.b, m.c, m.d) >= 1
+
+
+class TestIntMat2IsAValue:
+    """A matrix cannot change after construction, so a set holding it and a
+    frozen LineFamily carrying it keep their hashes."""
+
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+    def test_assignment_raises_and_set_membership_survives(self, name):
+        m = IntMat2(1, 0, 0, 1)
+        members = {m}
+        with pytest.raises(AttributeError):
+            setattr(m, name, 5)
+        assert m == IntMat2.identity() and m in members
+
+    def test_line_family_hash_is_stable(self):
+        fam = line_family(CF((0, 3, 1, 4)), 2)
+        h, profile = hash(fam), fam.squared_distance_profile(3)
+        with pytest.raises(AttributeError):
+            fam.prefix_matrix.d = 99
+        assert hash(fam) == h and fam == line_family(CF((0, 3, 1, 4)), 2)
+        assert fam.squared_distance_profile(3) == profile
 
 
 class TestMobius:

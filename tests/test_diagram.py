@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -503,6 +504,27 @@ class TestVerifierRecount:
         assert [c.name for c in report.clauses] == [
             "convergent sides", "end indices", "interior indices"
         ]
+
+
+class TestRecountOrientation:
+    """The recount reads each triangle's edges whatever the order of its
+    vertices, so reordering them leaves a correct funnel correct."""
+
+    @pytest.mark.parametrize("terms", [(0, 3, 2), (-1, 2, 3), (2, 5), (0, 1, 3), (-3, 1, 4, 1, 2),
+                                       (0, 2, 3, 4)])
+    def test_every_vertex_order_recounts_the_same(self, terms):
+        f = funnel(evaluate(CF(terms)))
+        for order in itertools.permutations(range(3)):
+            tris = tuple(tuple(t[i] for i in order) for t in f.triangles)
+            assert diagram._index_recount_misses(dataclasses.replace(f, triangles=tris)) == [], order
+
+    def test_mixed_vertex_orders_recount_the_same(self):
+        orders = list(itertools.permutations(range(3)))
+        for seed in range(100):
+            rng = random.Random(seed)
+            f = funnel(evaluate(CF(random_expansion(seed))))
+            tris = tuple(tuple(t[i] for i in rng.choice(orders)) for t in f.triangles)
+            assert diagram._index_recount_misses(dataclasses.replace(f, triangles=tris)) == [], seed
 
 
 class TestXIntervalIndex:

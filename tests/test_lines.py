@@ -93,6 +93,15 @@ class TestFamilyConstruction:
             fam = random_standard_family(rng)
             assert fam.anchor_x == evaluate((fam.shift, *fam.prefix))
 
+    def test_sequence_for_evaluates_to_the_value(self):
+        rng = random.Random(44)
+        for _ in range(40):
+            fam = random_standard_family(rng)
+            for m in range(-5, 6):
+                seq = fam.sequence_for(m)
+                assert seq.terms[fam.slot] == m
+                assert evaluate(seq) == fam.value(m), (fam.base, fam.slot, m)
+
 
 class TestLinePair:
     def test_slopes_and_anchor_for_0_3_m_4(self):

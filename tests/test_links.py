@@ -61,6 +61,12 @@ class TestPlatFraction:
         assert plat_fraction((3, 2)) == R(2, 7)
         assert plat_fraction((2,)) == R(1, 2)
 
+    def test_empty_terms_are_refused(self):
+        with pytest.raises(DomainError):
+            plat_fraction(())
+        with pytest.raises(DomainError):
+            plat_diagram(())
+
     def test_mirror_negates_the_fraction(self):
         rng = random.Random(41)
         for _ in range(200):

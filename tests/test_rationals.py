@@ -1,3 +1,6 @@
+import math
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +10,7 @@ from sternbrocot import (
     INFINITE_POINT,
     INFINITY,
     ParseError,
+    PlanePoint,
     is_farey_pair,
     make_rational,
     mediant,
@@ -123,6 +127,21 @@ class TestVertexPoint:
                 assert seen.setdefault(key, v) == v
 
 
+class TestPlanePoint:
+    @pytest.mark.parametrize("x, y, at_infinity", [
+        (R(1), None, True),          # the infinite point with coordinates
+        (R(1), None, False),         # a finite point missing one
+        (R(1), INFINITY, False),     # a finite point at 1/0
+    ])
+    def test_inconsistent_points_are_refused(self, x, y, at_infinity):
+        with pytest.raises(DomainError):
+            PlanePoint(x, y, at_infinity)
+
+    def test_infinite_point_is_fixed_by_reflection(self):
+        assert INFINITE_POINT.reflected() is INFINITE_POINT
+        assert str(INFINITE_POINT) == "oo"
+
+
 class TestArithmeticAndOrder:
     def test_parse_roundtrip(self):
         for text in ["-4/7", "1/0", "5", "0", "22/7"]:
@@ -137,6 +156,15 @@ class TestArithmeticAndOrder:
         with pytest.raises(DomainError):
             INFINITY < R(1)
 
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_every_order_rejects_infinity_and_floats(self, op):
+        with pytest.raises(DomainError):
+            op(INFINITY, R(1))
+        with pytest.raises(DomainError):
+            op(2, INFINITY)
+        with pytest.raises(TypeError):
+            op(R(1, 2), 0.5)
+
     @given(
         st.fractions(min_value=-100, max_value=100),
         st.fractions(min_value=-100, max_value=100),
@@ -146,6 +174,10 @@ class TestArithmeticAndOrder:
         b = R(y.numerator, y.denominator)
         assert (a == b) == (x == y)
         assert (a < b) == (x < y)
+        assert (a <= b, a > b, a >= b) == (x <= y, x > y, x >= y)
+        k = math.floor(y)
+        assert (a < k, a <= k, a > k, a >= k) == (x < k, x <= k, x > k, x >= k)
+        assert (k < a, k <= a, k > a, k >= a) == (k < x, k <= x, k > x, k >= x)
 
     @given(st.integers(-10**30, 10**30), st.integers(1, 10**6))
     def test_values_equal_to_an_int_hash_like_it(self, p, q):
