@@ -30,17 +30,21 @@ with one stderr line and print nothing to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import contfrac, diagram, figures
+from . import contfrac
 from .contfrac import ContinuedFraction, parse_terms
 from .errors import DomainError, InvariantViolation, ParseError, too_many_digits
-from .lines import LineFamily, line_family
-from .links import canonical_fraction, plat_diagram, schubert_equivalent
 from .rationals import ExtendedRational, int_text, parse_int
 
+# The other modules are imported inside the code that runs them, so that a
+# process loads only what its subcommand needs; here they serve annotations.
+if TYPE_CHECKING:
+    from .diagram import Diagram
+    from .figures import Overlay
+    from .lines import LineFamily
 
 class UsageError(Exception):
     """A well-formed argument the command cannot act on (exit code 2)."""
@@ -73,6 +77,8 @@ def _parse_window(text: str) -> tuple[ExtendedRational, ExtendedRational]:
 
 
 def _print_json(obj) -> None:
+    import json
+
     try:
         text = json.dumps(obj, indent=2)
     except ValueError:  # the payload holds only text, ints and bools
@@ -81,6 +87,8 @@ def _print_json(obj) -> None:
 
 
 def _family_from_hole(text: str) -> LineFamily:
+    from .lines import line_family
+
     terms, hole = parse_terms(text, allow_hole=True)
     assert hole is not None
     # The slot value never enters the family's machinery; fill it with a
@@ -109,9 +117,11 @@ def _write_window_svg(
     lo: ExtendedRational,
     hi: ExtendedRational,
     max_den: int,
-    overlays: tuple[figures.Overlay, ...] | list[figures.Overlay] = (),
-) -> diagram.Diagram:
+    overlays: tuple[Overlay, ...] | list[Overlay] = (),
+) -> Diagram:
     """Build the window [lo, hi], draw it with the overlays and write the SVG."""
+    from . import diagram, figures
+
     _check_svg_density(max_den)
     # A window's work grows as (hi - lo) * max_den^2, passed rounded up: the
     # budget B is an integer and x > B iff ceil(x) > B.  Windows
@@ -152,6 +162,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_funnel(args) -> int:
+    from . import diagram
+
     alpha = ExtendedRational.parse(args.rational)
     if args.svg:
         _check_svg_density(max(args.max_denom, alpha.den))
@@ -179,6 +191,8 @@ def _cmd_funnel(args) -> int:
             }
         )
     elif args.svg:
+        from . import figures
+
         a0 = f.expansion.terms[0]
         _write_window_svg(args.svg, ExtendedRational(a0), ExtendedRational(a0 + 1),
                           max(args.max_denom, alpha.den), [figures.FunnelOverlay(f)])
@@ -235,7 +249,9 @@ def _cmd_lines(args) -> int:
             }
         )
     elif args.svg:
-        overlays: list[figures.Overlay] = [
+        from . import figures
+
+        overlays: list[Overlay] = [
             figures.LineOverlay(plus),
             figures.LineOverlay(minus),
             figures.PointOverlay(tuple(fam.vertex(m) for m in range(lo, hi + 1))),
@@ -280,6 +296,8 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_link_canon(args) -> int:
+    from .links import canonical_fraction, plat_diagram
+
     value = ExtendedRational.parse(args.rational)
     canon = canonical_fraction(value)
     plat = plat_diagram(canon.sequence.terms[1:]) if canon.sequence.degree >= 1 else None
@@ -301,6 +319,8 @@ def _cmd_link_canon(args) -> int:
 
 
 def _cmd_link_eq(args) -> int:
+    from .links import schubert_equivalent
+
     a = ExtendedRational.parse(args.rational_a)
     b = ExtendedRational.parse(args.rational_b)
     eq = schubert_equivalent(a, b)

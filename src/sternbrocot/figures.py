@@ -15,10 +15,13 @@ one choice left to callers is the colour of a point overlay.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .diagram import Diagram, Funnel
-from .lines import ExtendedLine
 from .rationals import ExtendedRational, PlanePoint
+
+if TYPE_CHECKING:
+    from .diagram import Diagram, Funnel
+    from .lines import ExtendedLine
 
 _WIDTH = 720
 _MARGIN = 24

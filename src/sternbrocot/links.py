@@ -28,7 +28,6 @@ from typing import Iterable, Sequence
 
 from .contfrac import ContinuedFraction, evaluate
 from .errors import DomainError
-from .lines import LineFamily, line_family
 from .rationals import ExtendedRational
 
 
@@ -178,9 +177,11 @@ def link_family(
     Members whose value is 1/0 or an integer (0/1 included) are flagged
     degenerate instead of classified.
     """
+    from .lines import line_family  # here, so that links alone does not load lines
+
     if seq.terms[0] != 0:
         raise DomainError("plat families need a leading term of 0")
-    fam: LineFamily = line_family(seq, slot)
+    fam = line_family(seq, slot)
     out = []
     for m in ms:
         val = fam.value(m)

@@ -1,6 +1,10 @@
 """perfbench/tracing.py wraps package functions and methods by name, so
 deleting or renaming one breaks `perfbench/run.py --trace 1`.  Installing
-and removing the tracer in a fresh process catches that in the tests."""
+and removing the tracer in a fresh process catches that in the tests.
+
+The package reads each public name through to its submodule on every use
+and never stores it, so a name first read while the tracer is installed
+is the original again once the tracer is removed."""
 
 import json
 import subprocess
@@ -14,17 +18,24 @@ import json, sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 from tracing import Tracer, install
 import sternbrocot
-from sternbrocot import ContinuedFraction, ExtendedRational, contfrac, line_family
+from sternbrocot import ContinuedFraction, ExtendedRational, contfrac, diagram, line_family
 
 original = contfrac.evaluate
+original_build = diagram.build_diagram
 tracer = Tracer()
 uninstall = install(tracer)
 fam = line_family(ContinuedFraction((0, 3, 1, 4)), 2)
 sternbrocot.evaluate(fam.sequence_for(2))
 ExtendedRational(1, 3) < ExtendedRational(1, 2)
+compares = tracer.compares[0]
+traced_build = sternbrocot.build_diagram  # the package's first read of this name
+traced_build(ExtendedRational(0), ExtendedRational(1), 3)
 uninstall()
-print(json.dumps({{"spans": sorted(tracer.stats), "compares": tracer.compares[0],
-                  "restored": contfrac.evaluate is original}}))
+print(json.dumps({{"spans": sorted(tracer.stats), "compares": compares,
+                  "restored": contfrac.evaluate is original,
+                  "read_traced": traced_build is not original_build,
+                  "package_restored": sternbrocot.build_diagram is diagram.build_diagram
+                                      is original_build}}))
 """
 
 
@@ -34,5 +45,6 @@ def test_tracer_installs_on_every_wrapped_name_and_uninstalls():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert {"contfrac", "lines"} <= set(doc["spans"])
+    assert {"contfrac", "lines", "diagram.build"} <= set(doc["spans"])
     assert doc["compares"] == 1 and doc["restored"]
+    assert doc["read_traced"] and doc["package_restored"]

@@ -4,18 +4,24 @@ Pins the exit code and the sha256 of stdout of every command in the
 README's CLI block, plus the sha256 of every SVG those commands write.
 A few extra windows cover negative and non-integer window ends.  Any
 rewrite of the window, funnel or rendering code that changes one byte of
-output fails here.
+output fails here.  The README commands also run as fresh `python -m
+sternbrocot` processes, so the path where each command first loads the
+modules it needs is pinned too; in-process runs find them already loaded.
 """
 
 import hashlib
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from sternbrocot.cli import run
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # (argv, exit code, sha256 of stdout, SVG file written, sha256 of the SVG)
 README_GOLDEN = [
@@ -94,5 +100,20 @@ def test_cli_output_is_byte_identical(argv, code, stdout_sha, svg_name, svg_sha,
     monkeypatch.chdir(tmp_path)
     assert run(list(argv)) == code
     assert sha256(capsys.readouterr().out.encode()) == stdout_sha
+    if svg_name is not None:
+        assert sha256((tmp_path / svg_name).read_bytes()) == svg_sha
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_sha, svg_name, svg_sha",
+    [pytest.param(*case, id=" ".join(case[0])) for case in README_GOLDEN],
+)
+def test_readme_command_is_byte_identical_in_a_fresh_process(argv, code, stdout_sha, svg_name,
+                                                              svg_sha, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "sternbrocot", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert sha256(proc.stdout) == stdout_sha
     if svg_name is not None:
         assert sha256((tmp_path / svg_name).read_bytes()) == svg_sha
