@@ -75,6 +75,17 @@ EXTRA_GOLDEN = [
     (("lines", "[0;2,_]", "--svg", "top-corners.svg"), 0,
      "6818262c8177d71ccf9d05c1a292cb3fc1e401639f234f91bae4e97d40146a42",
      "top-corners.svg", "8abb3ece4279bc2f24974ff1e5444b6b12d86367fdba8f6becfe15feba5659f2"),
+    # A funnel of three fans off a nonzero a0, in text and JSON.
+    (("funnel", "355/113"), 0,
+     "26a8c7b05ee5578509654d9338eb2df7191e0ceecad0bce6aa3320e61ef81ab6", None, None),
+    (("funnel", "355/113", "--json"), 0,
+     "50bff1f92bfaa5143261e51a0064cc7250eec56579e2d74363f5e01483251ce6", None, None),
+    # 4,000 members whose circles mostly coincide near the anchor, so each
+    # distinct circle is written once.
+    (("lines", "[0;3,_,4]", "--range", "-2000..1999", "--max-denom", "10", "--svg",
+      "dedupe.svg"), 0,
+     "e61439d4b914d715284a0b68cd13b28fb4e41bc253f085a7597345a36a9cdd87",
+     "dedupe.svg", "32160b9362c0f38cdfd05606e4b459ce69c9005515f2977ccbfa175d8aa82c35"),
 ]
 
 
