@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "rationals": (
         "INFINITE_POINT", "INFINITY", "ExtendedRational", "PlanePoint", "is_farey_pair",
-        "make_rational", "mediant", "vertex_point",
+        "mediant", "vertex_point",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -92,9 +92,14 @@ def _family_from_hole(text: str) -> LineFamily:
     terms, hole = parse_terms(text, allow_hole=True)
     assert hole is not None
     # The slot value never enters the family's machinery; fill it with a
-    # standard-valid placeholder so a concrete base sequence exists.
+    # standard-valid placeholder so a concrete base sequence exists.  The
+    # placeholder leaves standardness unchanged, so a refusal names the input.
     terms[hole] = 2 if hole == len(terms) - 1 else 1
-    return line_family(ContinuedFraction(tuple(terms)), hole)
+    seq = ContinuedFraction(tuple(terms))
+    if not seq.is_standard:
+        terms[hole] = None
+        raise DomainError(f"{contfrac.format_terms(terms)} is not standard")
+    return line_family(seq, hole)
 
 
 def _check_budget(cost, what: str) -> None:
@@ -175,19 +180,16 @@ def _cmd_funnel(args) -> int:
     # Increasing order: left < alpha < right, left ascends, right descends.
     indexed = (*f.left_edge, *reversed(f.right_edge))
     # Every strip vertex is one object, on an edge or alpha itself, the
-    # bottom vertex; each is written once.
-    names = {id(v): str(v) for v in (*indexed, f.alpha)}
-
-    def name(v: ExtendedRational) -> str:
-        return names[id(v)]
+    # bottom vertex; each is named once.
+    name = {id(v): str(v) for v in (*indexed, f.alpha)}
 
     if args.json:
         _print_json(
             {
                 "base": str(f.alpha),
                 "terms": list(f.expansion.terms),
-                "triangles": [list(map(name, tri)) for tri in f.triangles],
-                "indices": {name(v): f.indices[v] for v in indexed},
+                "triangles": [[name[id(a)], name[id(m)], name[id(b)]] for a, m, b in f.triangles],
+                "indices": {name[id(v)]: f.indices[v] for v in indexed},
             }
         )
     elif args.svg:
@@ -198,13 +200,14 @@ def _cmd_funnel(args) -> int:
                           max(args.max_denom, alpha.den), [figures.FunnelOverlay(f)])
         print(f"wrote {args.svg}")
     else:
-        print(f"funnel of {f.alpha} = {f.expansion}")
-        print("triangles (top to bottom):")
-        for tri in f.triangles:
-            print("  " + " ".join(map(name, tri)))
-        print("left edge:  " + " ".join(map(name, f.left_edge)))
-        print("right edge: " + " ".join(map(name, f.right_edge)))
-        print("indices:    " + " ".join(f"{name(v)}:{f.indices[v]}" for v in indexed))
+        print("\n".join([
+            f"funnel of {f.alpha} = {f.expansion}",
+            "triangles (top to bottom):",
+            *[f"  {name[id(a)]} {name[id(m)]} {name[id(b)]}" for a, m, b in f.triangles],
+            "left edge:  " + " ".join([name[id(v)] for v in f.left_edge]),
+            "right edge: " + " ".join([name[id(v)] for v in f.right_edge]),
+            "indices:    " + " ".join([f"{name[id(v)]}:{f.indices[v]}" for v in indexed]),
+        ]))
 
     for clause in report.clauses:
         print(f"clause ({clause.name}): {'pass' if clause.passed else 'FAIL'} [{clause.detail}]",
@@ -229,8 +232,26 @@ def _cmd_lines(args) -> int:
     _check_budget(hi - lo + 1, "--range is too large: its number of members")
     plus, minus = fam.line_pair()
     root = fam.denominator_root()
-    rows = [(m, fam.value(m), fam.side(m)) for m in range(lo, hi + 1)]
+    members = range(lo, hi + 1)
 
+    if args.svg:
+        from . import figures
+
+        overlays: list[Overlay] = [
+            figures.LineOverlay(plus),
+            figures.LineOverlay(minus),
+            figures.PointOverlay(tuple(map(fam.value, members))),
+        ]
+        partner = fam.shared_line_partner()
+        if partner is not None:
+            overlays.append(figures.PointOverlay(tuple(map(partner.value, members)),
+                                                 color="#d4a017"))
+        _write_window_svg(args.svg, ExtendedRational(fam.shift), ExtendedRational(fam.shift + 1),
+                          args.max_denom, overlays)
+        print(f"wrote {args.svg}")
+        return 0
+
+    rows = [(m, fam.value(m), fam.side(m)) for m in members]
     if args.json:
         _print_json(
             {
@@ -248,25 +269,6 @@ def _cmd_lines(args) -> int:
                 ],
             }
         )
-    elif args.svg:
-        from . import figures
-
-        overlays: list[Overlay] = [
-            figures.LineOverlay(plus),
-            figures.LineOverlay(minus),
-            figures.PointOverlay(tuple(fam.vertex(m) for m in range(lo, hi + 1))),
-        ]
-        partner = fam.shared_line_partner()
-        if partner is not None:
-            overlays.append(
-                figures.PointOverlay(
-                    tuple(partner.vertex(m) for m in range(lo, hi + 1)),
-                    color="#d4a017",
-                )
-            )
-        _write_window_svg(args.svg, ExtendedRational(fam.shift), ExtendedRational(fam.shift + 1),
-                          args.max_denom, overlays)
-        print(f"wrote {args.svg}")
     else:
         print(f"family  {_hole_text(fam)}  (slot i={fam.slot})")
         print(f"gamma   {fam.anchor_x}")

@@ -3,9 +3,12 @@
 All geometry stays exact until attribute emission, where coordinates are
 written with 6 significant digits.  Identical inputs produce byte-identical
 SVG text: elements follow the diagram's vertex, edge and triangle order,
-which is increasing in the exact values.  Each vertex's x is formatted
-once, and its y and circle radius once per denominator; edges and funnel
-triangles reuse those texts.
+which is increasing in the exact values.  One helper places every vertex
+mark, whether a diagram vertex, a funnel triangle's corner or a point
+overlay's circle: a vertex p/q is drawn at (p/q, 1/q), its x formatted
+from p/q and its y and circle radius once per denominator q.  Each
+diagram vertex is formatted once; edges and funnel triangles reuse those
+texts.  A point overlay gives its vertices by their values p/q.
 
 The styling is fixed: the window [lo, hi] x [0, 1] is drawn 720 px wide
 with a 24 px margin, and every stroke, fill and radius is a constant.  The
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .rationals import ExtendedRational, PlanePoint
+from .rationals import ExtendedRational
 
 if TYPE_CHECKING:
     from .diagram import Diagram, Funnel
@@ -34,7 +37,10 @@ class LineOverlay:
 
 @dataclass(frozen=True)
 class PointOverlay:
-    points: tuple[PlanePoint, ...]
+    """The diagram vertices (p/q, 1/q) of the values p/q, marked in one
+    colour; 1/0 has no vertex and is skipped."""
+
+    values: tuple[ExtendedRational, ...]
     color: str = "#e0218a"
 
 
@@ -156,8 +162,8 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
             out.append(f'<g class="family-points" fill="{ov.color}">')
             # Family members pile up at the anchor: each distinct circle
             # is written once, in the order it is first met.
-            out.extend(dict.fromkeys(f'<circle cx="{px(p.x)}" cy="{py(p.y)}" r="3"/>'
-                                     for p in ov.points if not p.at_infinity))
+            marks = (vertex(v) for v in ov.values if not v.is_infinite)
+            out.extend(dict.fromkeys(f'<circle cx="{x}" cy="{y}" r="3"/>' for x, y in marks))
             out.append("</g>")
         else:
             raise TypeError(f"unknown overlay {ov!r}")

@@ -57,11 +57,6 @@ class ExtendedLine:
             raise DomainError("second point must leave the x-axis")
 
     @property
-    def includes_infinity(self) -> bool:
-        """Extended lines contain the added point of the plane by definition."""
-        return True
-
-    @property
     def slope(self) -> ExtendedRational:
         """(e/h) / (p/q - t/u) for the anchor t/u and the point (p/q, e/h);
         1/0 for a vertical line."""

@@ -148,9 +148,6 @@ def int_text(n: int) -> str:
 
 INFINITY = ExtendedRational(1, 0)
 
-# Kept as a public name: the constructor already normalizes an integer pair.
-make_rational = ExtendedRational
-
 
 def is_farey_pair(a: ExtendedRational, b: ExtendedRational) -> bool:
     """True iff a = p/q, b = r/s satisfy ps - rq = +-1.

@@ -265,8 +265,8 @@ def test_criterion_7_shared_lines_and_figure():
         overlays = [
             LineOverlay(p_plus),
             LineOverlay(p_minus),
-            PointOverlay(tuple(fam.vertex(m) for m in range(-8, 9))),
-            PointOverlay(tuple(partner.vertex(m) for m in range(-8, 9)), color="#d4a017"),
+            PointOverlay(tuple(fam.value(m) for m in range(-8, 9))),
+            PointOverlay(tuple(partner.value(m) for m in range(-8, 9)), color="#d4a017"),
         ]
         first = render_svg(window, overlays)
         second = render_svg(window, overlays)

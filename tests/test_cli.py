@@ -110,6 +110,11 @@ class TestLinesCommand:
         out, err = out_of(capsys)
         assert out == "" and err.startswith("error: bad range") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("sequence", ["[0;_,1]", "[0;0,_,2]", "[2;1,_,-3,4]"])
+    def test_non_standard_refusal_names_the_input_with_its_hole(self, sequence, capsys):
+        assert run(["lines", sequence]) == 3
+        assert out_of(capsys) == ("", f"error: {sequence} is not standard\n")
+
     def test_hole_in_first_slot(self, capsys):
         assert run(["lines", "[0;_,4]", "--range", "0..2", "--json"]) == 0
         doc = json.loads(out_of(capsys)[0])
@@ -157,7 +162,7 @@ class TestLinesCommand:
         fam = line_family(ContinuedFraction((0, 3, 1, 4)), 2)
         singles = figures.render_svg(
             diagram.build_diagram(ExtendedRational(0), ExtendedRational(1), 10),
-            [figures.PointOverlay((f.vertex(m),), color)
+            [figures.PointOverlay((f.value(m),), color)
              for f, color in ((fam, "#e0218a"), (fam.shared_line_partner(), "#d4a017"))
              for m in range(-2000, 2000)],
         )
@@ -165,6 +170,21 @@ class TestLinesCommand:
         for head, lines in self.point_groups(singles):
             expected.setdefault(head, set()).update(lines)
         assert {head: set(lines) for head, lines in drawn} == expected
+
+    def test_svg_makes_no_plane_point_per_member(self, tmp_path, capsys, monkeypatch):
+        from sternbrocot import lines
+
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return vertex_point(value)
+
+        vertex_point = lines.vertex_point
+        monkeypatch.setattr(lines, "vertex_point", counted)
+        assert run(["lines", "[0;3,_,4]", "--range", "-2000..1999", "--max-denom", "10",
+                    "--svg", str(tmp_path / "F.svg")]) == 0
+        assert len(calls) == 1  # the m = 1 point of the line pair
 
 
 class TestDiagramCommand:

@@ -38,8 +38,8 @@ def fig5_overlays():
     return [
         LineOverlay(plus),
         LineOverlay(minus),
-        PointOverlay(tuple(fam.vertex(m) for m in range(-6, 7))),
-        PointOverlay(tuple(partner.vertex(m) for m in range(-6, 7)), color="#d4a017"),
+        PointOverlay(tuple(fam.value(m) for m in range(-6, 7))),
+        PointOverlay(tuple(partner.value(m) for m in range(-6, 7)), color="#d4a017"),
     ]
 
 
@@ -70,7 +70,7 @@ def test_overlay_groups_present_and_infinite_points_skipped():
     d = small_diagram()
     fam = line_family(ContinuedFraction((0, 2, 1, 2)), 2)  # m = -1 is infinite
     plus, minus = fam.line_pair()
-    pts = PointOverlay(tuple(fam.vertex(m) for m in range(-2, 3)))
+    pts = PointOverlay(tuple(fam.value(m) for m in range(-2, 3)))
     text = render_svg(d, [LineOverlay(plus), LineOverlay(minus), pts])
     root = ET.fromstring(text)
     groups = {g.get("class") for g in root.findall(f"{SVG_NS}g")}

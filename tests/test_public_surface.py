@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
     "LineOverlay", "LinkFamilyEntry", "ParseError", "PlanePoint", "PlatDiagram",
     "PointOverlay", "RangeBracket", "RangeReport", "Side", "build_diagram",
     "canonical_fraction", "classify_range", "continuant_product", "convergents", "evaluate",
-    "funnel", "is_farey_pair", "line_family", "link_family", "make_rational", "mediant",
+    "funnel", "is_farey_pair", "line_family", "link_family", "mediant",
     "mobius_apply", "plat_diagram", "plat_fraction", "render_svg", "schubert_equivalent",
     "standard_expansion", "verify_funnel_theorem", "vertex_index", "vertex_point",
 }

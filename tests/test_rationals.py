@@ -12,7 +12,6 @@ from sternbrocot import (
     ParseError,
     PlanePoint,
     is_farey_pair,
-    make_rational,
     mediant,
     vertex_point,
 )
@@ -21,30 +20,33 @@ R = ExtendedRational
 
 
 class TestMakeRational:
+    """Making a value from an integer pair: the constructor normalizes it."""
+
     def test_caption_value(self):
-        assert make_rational(-4, 7) == R(-4, 7)
-        assert str(make_rational(-4, 7)) == "-4/7"
+        x = R(-4, 7)
+        assert (x.num, x.den) == (-4, 7)
+        assert str(x) == "-4/7"
 
     def test_sign_and_gcd_normalization(self):
-        x = make_rational(2, -4)
+        x = R(2, -4)
         assert (x.num, x.den) == (-1, 2)
 
     def test_any_nonzero_over_zero_is_the_infinite_value(self):
-        assert make_rational(-3, 0) == INFINITY
-        assert make_rational(7, 0) == INFINITY
+        assert R(-3, 0) == INFINITY
+        assert R(7, 0) == INFINITY
 
     def test_rejects_zero_over_zero(self):
         with pytest.raises(DomainError):
-            make_rational(0, 0)
+            R(0, 0)
 
     def test_zero_normalizes_to_0_over_1(self):
-        assert (make_rational(0, -5).num, make_rational(0, -5).den) == (0, 1)
+        assert (R(0, -5).num, R(0, -5).den) == (0, 1)
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(-50, 50))
     def test_normalization_idempotent_under_scaling(self, p, q, k):
         if k == 0:
             k = 1
-        assert make_rational(p * k, q * k) == make_rational(p, q)
+        assert R(p * k, q * k) == R(p, q)
 
 
 class TestFareyPairs:
@@ -210,6 +212,3 @@ class TestImmutable:
         assert [(v.num, v.den) for v in values] == [(5, 3), (7, 1), (1, 0)]
         assert [hash(v) for v in values] == hashes
         assert all(v in members for v in values) and R(10, 6) in members
-
-    def test_make_rational_is_the_constructor(self):
-        assert make_rational is ExtendedRational
