@@ -174,13 +174,13 @@ class TestLinesCommand:
     def test_svg_makes_no_plane_point_per_member(self, tmp_path, capsys, monkeypatch):
         from sternbrocot import lines
 
+        original = lines.vertex_point
         calls = []
 
         def counted(value):
             calls.append(value)
-            return vertex_point(value)
+            return original(value)
 
-        vertex_point = lines.vertex_point
         monkeypatch.setattr(lines, "vertex_point", counted)
         assert run(["lines", "[0;3,_,4]", "--range", "-2000..1999", "--max-denom", "10",
                     "--svg", str(tmp_path / "F.svg")]) == 0
