@@ -86,6 +86,17 @@ EXTRA_GOLDEN = [
       "dedupe.svg"), 0,
      "e61439d4b914d715284a0b68cd13b28fb4e41bc253f085a7597345a36a9cdd87",
      "dedupe.svg", "32160b9362c0f38cdfd05606e4b459ce69c9005515f2977ccbfa175d8aa82c35"),
+    # A degree-1 family: the "(n=1: root at 0)" suffix, a 1/0 member and no
+    # partner line.
+    (("lines", "[0;_]", "--range", "-2..2"), 0,
+     "885bb456f4c7d1901f35f0a06a19149bcac03db74c42c121352738af8074874f", None, None),
+    # A canonical fraction with no plat, so no text art.
+    (("link", "canon", "0"), 0,
+     "739cd78979261762aae451096803be7eceed2d6662fd0b7a1b23b21f893b2ead", None, None),
+    (("link", "canon", "5/7", "--json"), 0,
+     "4b157b3ede9caab180a62cad38df09cc88c725ef3b9aa8b8e5c1410bcf2aea84", None, None),
+    (("link", "eq", "2/7", "3/7", "--json"), 0,
+     "9b87630bcf89290e0da17729199c6b8bd9d292b37ad13ea0bd6cb66cd2083e92", None, None),
 ]
 
 
