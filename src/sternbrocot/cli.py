@@ -6,7 +6,10 @@ identical arguments give byte-identical output.
 
 Exit codes: 0 success, 2 parse error or unusable argument (such as an
 SVG path that cannot be written), 3 domain error, 4 internal invariant
-violation (a failed theorem clause is an implementation bug).
+violation (a failed theorem clause is an implementation bug).  Each
+subcommand returns its stdout text and run() prints it once, on success,
+so exits 2 and 3 leave stdout empty; exit 4 keeps the funnel report that
+names the failed clause.
 
 Three limits keep every run bounded and end in those codes.  Integers pass
 between text and int only up to Python's int/text digit limit
@@ -23,8 +26,8 @@ wider window is a domain error (3) and writes no file.  The same budget,
 value: `funnel` of p/q refuses a strip of more than 160,000 triangles
 (a_1 + ... + a_n - 1 for its standard expansion, so `funnel 1/160001`
 runs and `funnel 1/160002` does not), and `lines` refuses a --range of more
-than 160,000 members.  Both are checked before any work, end in exit 3
-with one stderr line and print nothing to stdout.
+than 160,000 members.  Both are checked before any work and end in exit 3
+with one stderr line.
 """
 
 from __future__ import annotations
@@ -76,14 +79,13 @@ def _parse_window(text: str) -> tuple[ExtendedRational, ExtendedRational]:
     return ExtendedRational.parse(m.group(1)), ExtendedRational.parse(m.group(2))
 
 
-def _print_json(obj) -> None:
+def _json_text(obj) -> str:
     import json
 
     try:
-        text = json.dumps(obj, indent=2)
+        return json.dumps(obj, indent=2)
     except ValueError:  # the payload holds only text, ints and bools
         raise DomainError(too_many_digits("an integer of the result")) from None
-    print(text)
 
 
 def _family_from_hole(text: str) -> LineFamily:
@@ -152,21 +154,18 @@ def _hole_text(fam: LineFamily) -> str:
     return contfrac.format_terms(terms)
 
 
-# -- subcommands ---------------------------------------------------------
+# -- subcommands: each returns its stdout text, which run() prints -------
 
 
-def _cmd_eval(args) -> int:
-    print(contfrac.evaluate(ContinuedFraction.parse(args.sequence)))
-    return 0
+def _cmd_eval(args) -> str:
+    return str(contfrac.evaluate(ContinuedFraction.parse(args.sequence)))
 
 
-def _cmd_expand(args) -> int:
-    value = ExtendedRational.parse(args.rational)
-    print(contfrac.standard_expansion(value))
-    return 0
+def _cmd_expand(args) -> str:
+    return str(contfrac.standard_expansion(ExtendedRational.parse(args.rational)))
 
 
-def _cmd_funnel(args) -> int:
+def _cmd_funnel(args) -> str:
     from . import diagram
 
     alpha = ExtendedRational.parse(args.rational)
@@ -182,9 +181,11 @@ def _cmd_funnel(args) -> int:
     # Every strip vertex is one object, on an edge or alpha itself, the
     # bottom vertex; each is named once.
     name = {id(v): str(v) for v in (*indexed, f.alpha)}
+    clauses = [f"clause ({c.name}): {'pass' if c.passed else 'FAIL'} [{c.detail}]"
+               for c in report.clauses]
 
     if args.json:
-        _print_json(
+        out = _json_text(
             {
                 "base": str(f.alpha),
                 "terms": list(f.expansion.terms),
@@ -198,23 +199,23 @@ def _cmd_funnel(args) -> int:
         a0 = f.expansion.terms[0]
         _write_window_svg(args.svg, ExtendedRational(a0), ExtendedRational(a0 + 1),
                           max(args.max_denom, alpha.den), [figures.FunnelOverlay(f)])
-        print(f"wrote {args.svg}")
+        out = f"wrote {args.svg}"
     else:
-        print("\n".join([
+        out = "\n".join([
             f"funnel of {f.alpha} = {f.expansion}",
             "triangles (top to bottom):",
             *[f"  {name[id(a)]} {name[id(m)]} {name[id(b)]}" for a, m, b in f.triangles],
             "left edge:  " + " ".join([name[id(v)] for v in f.left_edge]),
             "right edge: " + " ".join([name[id(v)] for v in f.right_edge]),
             "indices:    " + " ".join([f"{name[id(v)]}:{f.indices[v]}" for v in indexed]),
-        ]))
-
-    for clause in report.clauses:
-        print(f"clause ({clause.name}): {'pass' if clause.passed else 'FAIL'} [{clause.detail}]",
-              file=sys.stderr if args.json or args.svg else sys.stdout)
+            *clauses,
+        ])
+    if args.json or args.svg:
+        print("\n".join(clauses), file=sys.stderr)
     if not report.all_passed:
+        print(out)  # the report names the failed clause, so exit 4 keeps it
         raise InvariantViolation(f"funnel theorem failed for {f.expansion}")
-    return 0
+    return out
 
 
 def _coeff_text(coeffs: tuple[int, int]) -> str:
@@ -226,7 +227,7 @@ def _point_json(pt) -> dict:
     return {"x": str(pt.x), "y": str(pt.y)}
 
 
-def _cmd_lines(args) -> int:
+def _cmd_lines(args) -> str:
     fam = _family_from_hole(args.sequence)
     lo, hi = _parse_range(args.range)
     _check_budget(hi - lo + 1, "--range is too large: its number of members")
@@ -248,12 +249,10 @@ def _cmd_lines(args) -> int:
                                                  color="#d4a017"))
         _write_window_svg(args.svg, ExtendedRational(fam.shift), ExtendedRational(fam.shift + 1),
                           args.max_denom, overlays)
-        print(f"wrote {args.svg}")
-        return 0
+        return f"wrote {args.svg}"
 
-    rows = [(m, fam.value(m), fam.side(m)) for m in members]
     if args.json:
-        _print_json(
+        return _json_text(
             {
                 "gamma": str(fam.anchor_x),
                 "P": list(fam.num_coeffs),
@@ -264,40 +263,37 @@ def _cmd_lines(args) -> int:
                     "through": _point_json(plus.through),
                 },
                 "points": [
-                    {"m": m, "alpha": str(val), "side": side.value}
-                    for m, val, side in rows
+                    {"m": m, "alpha": str(fam.value(m)), "side": fam.side(m).value}
+                    for m in members
                 ],
             }
         )
-    else:
-        print(f"family  {_hole_text(fam)}  (slot i={fam.slot})")
-        print(f"gamma   {fam.anchor_x}")
-        print(f"P(m)    {_coeff_text(fam.num_coeffs)}")
-        print(f"Q(m)    {_coeff_text(fam.den_coeffs)}")
-        print(f"root    {root}" + ("  (n=1: root at 0)" if fam.degree == 1 else ""))
-        print(f"line+   through ({fam.anchor_x}, 0) and {plus.through}, slope {plus.slope}")
-        print(f"line-   mirror image, slope {minus.slope}")
-        partner = fam.shared_line_partner()
-        if partner is not None:
-            print(f"partner {_hole_text(partner)} shares the line pair")
-        print("   m  alpha           side")
-        for m, val, side in rows:
-            print(f"{m:>4}  {str(val):<14}  {side.value}")
-    return 0
+    partner = fam.shared_line_partner()
+    return "\n".join([
+        f"family  {_hole_text(fam)}  (slot i={fam.slot})",
+        f"gamma   {fam.anchor_x}",
+        f"P(m)    {_coeff_text(fam.num_coeffs)}",
+        f"Q(m)    {_coeff_text(fam.den_coeffs)}",
+        f"root    {root}" + ("  (n=1: root at 0)" if fam.degree == 1 else ""),
+        f"line+   through ({fam.anchor_x}, 0) and {plus.through}, slope {plus.slope}",
+        f"line-   mirror image, slope {minus.slope}",
+        *([] if partner is None else [f"partner {_hole_text(partner)} shares the line pair"]),
+        "   m  alpha           side",
+        *[f"{m:>4}  {fam.value(m)!s:<14}  {fam.side(m).value}" for m in members],
+    ])
 
 
-def _cmd_diagram(args) -> int:
+def _cmd_diagram(args) -> str:
     lo, hi = _parse_window(args.window)
     d = _write_window_svg(args.svg, lo, hi, args.max_denom)
-    print(
+    return (
         f"diagram [{d.lo}, {d.hi}] max_den={d.max_den}: "
         f"{len(d.vertices)} vertices, {len(d.edges)} edges, "
         f"{len(d.triangles)} triangles -> {args.svg}"
     )
-    return 0
 
 
-def _cmd_link_canon(args) -> int:
+def _cmd_link_canon(args) -> str:
     from .links import canonical_fraction, plat_diagram
 
     value = ExtendedRational.parse(args.rational)
@@ -305,7 +301,7 @@ def _cmd_link_canon(args) -> int:
     plat = plat_diagram(canon.sequence.terms[1:]) if canon.sequence.degree >= 1 else None
     standard = plat.is_standard if plat is not None else False
     if args.json:
-        _print_json(
+        return _json_text(
             {
                 "input": str(value),
                 "canonical": str(canon.fraction),
@@ -313,24 +309,19 @@ def _cmd_link_canon(args) -> int:
                 "standard": standard,
             }
         )
-    else:
-        print(f"{canon.fraction} = {canon.sequence}" + (" (standard plat)" if standard else ""))
-        if plat is not None:
-            print(plat.text_art())
-    return 0
+    head = f"{canon.fraction} = {canon.sequence}" + (" (standard plat)" if standard else "")
+    return head if plat is None else f"{head}\n{plat.text_art()}"
 
 
-def _cmd_link_eq(args) -> int:
+def _cmd_link_eq(args) -> str:
     from .links import schubert_equivalent
 
     a = ExtendedRational.parse(args.rational_a)
     b = ExtendedRational.parse(args.rational_b)
     eq = schubert_equivalent(a, b)
     if args.json:
-        _print_json({"a": str(a), "b": str(b), "equivalent": eq})
-    else:
-        print("equivalent" if eq else "not equivalent")
-    return 0
+        return _json_text({"a": str(a), "b": str(b), "equivalent": eq})
+    return "equivalent" if eq else "not equivalent"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,7 +402,7 @@ def run(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_window_values(list(argv)))
     try:
-        return args.func(args)
+        out = args.func(args)
     except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -421,6 +412,8 @@ def run(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    print(out)
+    return 0
 
 
 def main() -> None:

@@ -60,7 +60,11 @@ class TestFunnelCommand:
         assert doc["terms"] == [0, 3, 2]
         assert doc["triangles"][0] == ["0", "1/2", "1"]
         assert doc["indices"]["0"] == 3
-        assert out.count(": pass") == 0 and err.count(": pass") == 3
+        assert err == (
+            "clause (convergent sides): pass [c_0..c_1 alternate left/right]\n"
+            "clause (end indices): pass [index(c_0)=3, index(c_1)=2]\n"
+            "clause (interior indices): pass [vacuous]\n"
+        )
 
     def test_integer_input_is_a_domain_error(self, capsys):
         assert run(["funnel", "5"]) == 3
@@ -231,8 +235,9 @@ class TestUnwritableSvg:
 
 class TestDigitLimit:
     """Integers longer than Python's int/text digit limit end in a one-line
-    error: exit 2 on input, exit 3 on output.  Run as processes so that a
-    traceback would show on stderr."""
+    error: exit 2 on input, exit 3 on output, and nothing on stdout, even
+    when the refusal comes after part of the report is built.  Run as
+    processes so that a traceback would show on stderr."""
 
     LIMIT = sys.get_int_max_str_digits()
     LONG = "1" * (LIMIT + 700)
@@ -250,7 +255,10 @@ class TestDigitLimit:
         (("lines", "[0;3,_,4]", "--range", "1.." + LONG), 2),
         (("eval", "[1;" + ",".join(["1"] * 25000) + "]"), 3),
         (("lines", "[0;" + ",".join(["7"] * 6000) + ",_,2]", "--json"), 3),
-    ], ids=["expand", "funnel", "eval-a0", "eval-term", "lines-range", "eval-result", "lines-json"])
+        (("lines", "[0;" + ",".join(["7"] * 6000) + ",_,2]"), 3),
+        (("lines", "[0;3,_,4]", "--range", "9" * LIMIT + ".." + "9" * LIMIT), 3),
+    ], ids=["expand", "funnel", "eval-a0", "eval-term", "lines-range", "eval-result", "lines-json",
+            "lines-text", "lines-member"])
     def test_one_line_error_naming_the_limit(self, argv, code):
         proc = self.cli(*argv)
         assert proc.returncode == code
@@ -261,11 +269,11 @@ class TestDigitLimit:
 
 
     def test_json_payload_int_past_the_limit_is_a_domain_error(self):
-        from sternbrocot.cli import _print_json
+        from sternbrocot.cli import _json_text
         from sternbrocot.errors import DomainError
 
         with pytest.raises(DomainError, match=f"more than {self.LIMIT} digits"):
-            _print_json({"P": [10 ** (self.LIMIT + 10), 1]})
+            _json_text({"P": [10 ** (self.LIMIT + 10), 1]})
 
 
 class TestSvgDensityCap:
@@ -314,10 +322,12 @@ class TestFunnelIndexOrder:
 
 
 class TestInternalErrorExit:
-    """A failed theorem clause is an implementation bug: exit 4, the clause
-    printed as FAIL and one `internal error:` line on stderr."""
+    """A failed theorem clause is an implementation bug: exit 4, the report
+    still printed with the clause as FAIL, and one `internal error:` line on
+    stderr."""
 
-    def test_a_failed_clause_is_exit_4(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_a_failed_clause_is_exit_4(self, extra, capsys, monkeypatch):
         verify = diagram.verify_funnel_theorem
 
         def failing(f):
@@ -326,10 +336,15 @@ class TestInternalErrorExit:
             return dataclasses.replace(report, clauses=(*report.clauses, planted))
 
         monkeypatch.setattr(diagram, "verify_funnel_theorem", failing)
-        assert run(["funnel", "2/7"]) == 4
+        assert run(["funnel", "2/7", *extra]) == 4
         out, err = out_of(capsys)
-        assert "clause (planted): FAIL [planted failure]\n" in out
-        assert err == "internal error: funnel theorem failed for [0;3,2]\n"
+        if extra:
+            assert json.loads(out)["base"] == "2/7"
+            assert err.endswith("clause (planted): FAIL [planted failure]\n"
+                                "internal error: funnel theorem failed for [0;3,2]\n")
+        else:
+            assert "clause (planted): FAIL [planted failure]\n" in out
+            assert err == "internal error: funnel theorem failed for [0;3,2]\n"
 
 
 class TestFunnelBuiltOnce:
@@ -544,11 +559,12 @@ class TestFuzzRun:
     @given(data=st.data())
     def test_every_run_ends_in_a_documented_exit_code(self, data, tmp_path):
         argv = data.draw(_argv(str(tmp_path / "fuzz.svg")))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = run(argv)
             except SystemExit as exc:  # argparse's own exits
                 code = exc.code
         assert code in (0, 2, 3, 4), (argv, code)
         assert "Traceback" not in err.getvalue()
+        assert code not in (2, 3) or out.getvalue() == "", (argv, code)
