@@ -75,6 +75,16 @@ EXTRA_GOLDEN = [
     (("lines", "[0;2,_]", "--svg", "top-corners.svg"), 0,
      "6818262c8177d71ccf9d05c1a292cb3fc1e401639f234f91bae4e97d40146a42",
      "top-corners.svg", "8abb3ece4279bc2f24974ff1e5444b6b12d86367fdba8f6becfe15feba5659f2"),
+    # Line clips through the window's sides: the plus line of [0;2,_,2]
+    # leaves through the left side at (0, 1/2) and the minus line through
+    # the right side at (1, 1/2); the plus line of [-1;1,_,3] leaves a
+    # window with negative ends through its left side at (-1, 1/3).
+    (("lines", "[0;2,_,2]", "--svg", "sides.svg"), 0,
+     "ea1dbf46dd622555aeed1c415c1db95052617b675cbf0a2d9b9d028af166e21a",
+     "sides.svg", "6be95d0f0df72d3ab82928e243a384296bff1b20af6af13c2f68831822f25886"),
+    (("lines", "[-1;1,_,3]", "--svg", "neg-side.svg"), 0,
+     "f0e0a397cfafd89d4e8ea97cf784f61afea2af8ddbf572eb7d9c60ded54b1f57",
+     "neg-side.svg", "79eaee5be12fce496e403dc1402eccb294b8220c9f1064048e873351b4146148"),
     # A funnel of three fans off a nonzero a0, in text and JSON.
     (("funnel", "355/113"), 0,
      "26a8c7b05ee5578509654d9338eb2df7191e0ceecad0bce6aa3320e61ef81ab6", None, None),
