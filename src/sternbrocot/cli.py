@@ -5,11 +5,13 @@ SVG files are the only place floats appear.  Runs are deterministic:
 identical arguments give byte-identical output.
 
 Exit codes: 0 success, 2 parse error or unusable argument (such as an
-SVG path that cannot be written), 3 domain error, 4 internal invariant
+SVG path that cannot be written) or a stdout that cannot be written (a
+full device, a closed pipe), 3 domain error, 4 internal invariant
 violation (a failed theorem clause is an implementation bug).  Each
 subcommand returns its stdout text and run() prints it once, on success,
-so exits 2 and 3 leave stdout empty; exit 4 keeps the funnel report that
-names the failed clause.
+so exits 2 and 3 leave stdout empty, apart from what a failed stdout
+write got through; exit 4 keeps the funnel report that names the failed
+clause.
 
 Three limits keep every run bounded and end in those codes.  Integers pass
 between text and int only up to Python's int/text digit limit
@@ -33,6 +35,7 @@ with one stderr line.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -412,7 +415,13 @@ def run(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    print(out)
+    try:
+        print(out, flush=True)
+    except OSError as exc:
+        # Send what is still buffered to os.devnull, or the exit flush fails again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

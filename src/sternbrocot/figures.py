@@ -57,32 +57,27 @@ def _fmt(value: float) -> str:
 
 
 def _clip(line: ExtendedLine, lo: ExtendedRational, hi: ExtendedRational):
-    """Exact end points (x, y) of the line inside the box [lo, hi] x [0, 1],
-    or None when the line meets the box in at most one point.
+    """Exact end points (x, y), the smaller x first, of the line inside the
+    box [lo, hi] x [0, 1], or None when the line meets the box in at most
+    one point.
 
     The line is y = (e/f)(x - g/h), slope e/f through the anchor (g/h, 0);
-    the slope is nonzero, and 1/0 when the line is x = g/h.  Each crossing
-    with a side of the box is one integer fraction."""
+    the slope is nonzero, and 1/0 when the line is x = g/h.  A sloped line
+    has 0 <= y <= 1 exactly for x between g/h and g/h + f/e, where y = 1;
+    that interval cut to [lo, hi] is the segment, and each end's y is one
+    integer fraction."""
     g, h = line.anchor.x.num, line.anchor.x.den
     slope = line.slope
     e, f = slope.num, slope.den
     if f == 0:
         x = line.anchor.x
         return ((x, 0), (x, 1)) if lo <= x <= hi else None
-    ends = []
-    for x in (lo, hi):
-        a, b = x.num, x.den
-        y = ExtendedRational(e * (a * h - g * b), f * b * h)
-        if 0 <= y <= 1:
-            ends.append((x, y))
-    for y in (0, 1):
-        x = ExtendedRational(g * e + y * f * h, h * e)
-        if lo <= x <= hi:
-            ends.append((x, y))
-    ends.sort()
-    if not ends or ends[0] == ends[-1]:
+    left, right = sorted((line.anchor.x, ExtendedRational(g * e + f * h, h * e)))
+    left, right = max(left, lo), min(right, hi)
+    if left >= right:
         return None
-    return ends[0], ends[-1]
+    return tuple((x, ExtendedRational(e * (x.num * h - g * x.den), f * x.den * h))
+                 for x in (left, right))
 
 
 def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] = ()) -> str:

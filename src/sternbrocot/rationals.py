@@ -178,16 +178,16 @@ class PlanePoint:
 
     x: ExtendedRational | None
     y: ExtendedRational | None
-    at_infinity: bool = False
 
     def __post_init__(self):
-        if self.at_infinity:
-            if self.x is not None or self.y is not None:
-                raise DomainError("the infinite point has no coordinates")
-        elif self.x is None or self.y is None:
-            raise DomainError("finite points need both coordinates")
-        elif self.x.is_infinite or self.y.is_infinite:
+        if (self.x is None) != (self.y is None):
+            raise DomainError("a point has both coordinates or neither")
+        if self.x is not None and (self.x.is_infinite or self.y.is_infinite):
             raise DomainError("finite points need finite coordinates")
+
+    @property
+    def at_infinity(self) -> bool:
+        return self.x is None
 
     def reflected(self) -> "PlanePoint":
         """Mirror image across the x-axis (fixes the infinite point)."""
@@ -201,7 +201,7 @@ class PlanePoint:
         return f"({self.x}, {self.y})"
 
 
-INFINITE_POINT = PlanePoint(None, None, True)
+INFINITE_POINT = PlanePoint(None, None)
 
 
 def vertex_point(value: ExtendedRational) -> PlanePoint:

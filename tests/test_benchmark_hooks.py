@@ -48,3 +48,14 @@ def test_tracer_installs_on_every_wrapped_name_and_uninstalls():
     assert {"contfrac", "lines", "diagram.build"} <= set(doc["spans"])
     assert doc["compares"] == 1 and doc["restored"]
     assert doc["read_traced"] and doc["package_restored"]
+
+
+def test_harness_self_check_passes():
+    """perfbench/selfcheck.py runs every workload and checker against the
+    package, so a change in src that the harness relies on, such as
+    dataclasses.replace on a LinkFamilyEntry or a positional CanonicalForm,
+    fails here."""
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selfcheck.py")], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "self-check passed"

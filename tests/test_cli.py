@@ -233,6 +233,41 @@ class TestUnwritableSvg:
         assert out_of(capsys)[1].startswith(f"error: cannot write {tmp_path}: ")
 
 
+class TestUnwritableStdout:
+    """A stdout that cannot take the output ends in exit 2 with one stderr
+    line, as an unwritable --svg path does.  Run as processes so that a
+    traceback from the write, or from the interpreter's flush at exit,
+    would show on stderr."""
+
+    ARGV = [sys.executable, "-m", "sternbrocot"]
+    ENV = dict(os.environ, PYTHONPATH=str(SRC))
+
+    @staticmethod
+    def check(code, err, reason):
+        assert code == 2
+        assert err == f"error: cannot write stdout: {reason}\n"
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_full_device(self):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(self.ARGV + ["eval", "[-1;2,3]"], env=self.ENV, stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        self.check(proc.returncode, proc.stderr, "No space left on device")
+
+    def test_pipe_closed_by_the_reader(self):
+        # The report is about 167 KB, more than a pipe holds, so once the
+        # reader closes its end after 10 bytes the write must fail.
+        proc = subprocess.Popen(self.ARGV + ["lines", "[0;3,_,4]", "--range", "-3000..3000"],
+                                env=self.ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        self.check(proc.returncode, err, "Broken pipe")
+
+
 class TestDigitLimit:
     """Integers longer than Python's int/text digit limit end in a one-line
     error: exit 2 on input, exit 3 on output, and nothing on stdout, even

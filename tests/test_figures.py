@@ -193,6 +193,10 @@ class TestClipAgainstOracle:
         return out + [missing] + touching + cornered
 
     def test_clip_and_slope_match_fractions(self):
+        """The oracle cuts the same x-interval as _clip, so each segment is
+        also checked without it: both ends on the line through the anchor
+        (t/u, 0) and the point (p/q, e/h), by cross-multiplied integers; both
+        in the box and on its boundary; the smaller x first."""
         rng = random.Random(2023)
         for _ in range(150):
             fam = self.random_family(rng)
@@ -201,10 +205,21 @@ class TestClipAgainstOracle:
                 slope = frac_of(line.slope)
                 through = line.through
                 assert slope == frac_of(through.y) / (frac_of(through.x) - gamma)
+                t, u = line.anchor.x.num, line.anchor.x.den
+                p, q = through.x.num, through.x.den
+                e, h = through.y.num, through.y.den
                 for lo, hi in self.windows(rng, gamma, slope):
-                    got = _clip(line, R(lo.numerator, lo.denominator),
-                                R(hi.numerator, hi.denominator))
-                    assert self.exact(got) == clip_to_box(gamma, slope, lo, hi)
+                    ends = self.exact(_clip(line, R(lo.numerator, lo.denominator),
+                                            R(hi.numerator, hi.denominator)))
+                    assert ends == clip_to_box(gamma, slope, lo, hi)
+                    if ends is None:
+                        continue
+                    for x, y in ends:
+                        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+                        assert (p * u - t * q) * c * h * b == e * (a * u - t * b) * q * d
+                        assert lo <= x <= hi and 0 <= y <= 1
+                        assert x in (lo, hi) or y in (0, 1)
+                    assert ends[0][0] < ends[1][0]
 
     @pytest.mark.parametrize("gamma, lo, hi", [
         (Fraction(0), Fraction(-1), Fraction(1)),          # inside

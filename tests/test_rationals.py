@@ -130,14 +130,16 @@ class TestVertexPoint:
 
 
 class TestPlanePoint:
-    @pytest.mark.parametrize("x, y, at_infinity", [
-        (R(1), None, True),          # the infinite point with coordinates
-        (R(1), None, False),         # a finite point missing one
-        (R(1), INFINITY, False),     # a finite point at 1/0
+    @pytest.mark.parametrize("x, y", [
+        (R(1), None),                # a point with one coordinate
+        (None, R(1)),
+        (R(1), INFINITY),            # a finite point at 1/0
     ])
-    def test_inconsistent_points_are_refused(self, x, y, at_infinity):
+    def test_inconsistent_points_are_refused(self, x, y):
         with pytest.raises(DomainError):
-            PlanePoint(x, y, at_infinity)
+            PlanePoint(x, y)
+        no_coordinates = PlanePoint(None, None)
+        assert no_coordinates == INFINITE_POINT and no_coordinates.at_infinity
 
     def test_infinite_point_is_fixed_by_reflection(self):
         assert INFINITE_POINT.reflected() is INFINITE_POINT
