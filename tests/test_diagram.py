@@ -153,14 +153,33 @@ def random_window(seed: int) -> tuple[Fraction, Fraction, int]:
     return lo, lo + span * Fraction(rng.randint(1, 12), 12), max_den
 
 
-class TestWindowOrder:
-    """Windows come out ordered by the traversal itself; check the order
-    directly and the contents against brute-force enumeration."""
+# Windows at the edges of the start search: the longest search at the cap
+# with one vertex, no vertex at all, no vertex at the cap, integer ends at
+# max_den 1, and one vertex at lo.
+FIXED_WINDOWS = [
+    (Fraction(999, 1000), Fraction(1), 400),
+    (Fraction(1, 3), Fraction(1, 2), 1),
+    (Fraction(3998, 4001), Fraction(3999, 4001), 400),
+    (Fraction(-2), Fraction(3), 1),
+    (Fraction(0), Fraction(1, 1000), 400),
+]
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_random_window_is_ordered_and_matches_oracles(self, seed):
-        lo, hi, max_den = random_window(seed)
+
+class TestWindowOrder:
+    """Windows come out ordered by the Farey next-term rule itself; check
+    the order directly, the contents against brute-force enumeration and
+    that edges and triangles share the vertex objects."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, max_den",
+        [pytest.param(*random_window(seed), id=str(seed)) for seed in range(40)]
+        + [pytest.param(*w, id=f"{w[0]}..{w[1]}@{w[2]}") for w in FIXED_WINDOWS],
+    )
+    def test_random_window_is_ordered_and_matches_oracles(self, lo, hi, max_den):
         d = build_diagram(R(lo.numerator, lo.denominator), R(hi.numerator, hi.denominator), max_den)
+        shared = {id(v) for v in d.vertices}
+        assert all(id(v) in shared for e in d.edges for v in e)
+        assert all(id(v) in shared for t in d.triangles for v in t)
 
         def fr(v):
             return Fraction(v.num, v.den)

@@ -59,6 +59,14 @@ EXTRA_GOLDEN = [
     (("diagram", "--window", "-5/4..7/3", "--max-denom", "3", "--svg", "sparse.svg"), 0,
      "ff0f127a694f3cc8872338e28d3e6a83b48444bdc1bc02233546950dc6aade00",
      "sparse.svg", "98d052c2e8fa94252ec917587f6f6194bedf05702a1279203928b5236fc5b316"),
+    # The longest start search at the cap, ending on one vertex and no edge,
+    # and a window with no vertex at all.
+    (("diagram", "--window", "999/1000..1", "--max-denom", "400", "--svg", "tip.svg"), 0,
+     "3a9b1cfba2a09a779718ffc887c9fd55607ca9a795f5b64d0b8a7f22d24221cf",
+     "tip.svg", "5bd00fa00eebaa76f998161e70dceeac6debc3b825b017a2bce5d1d57100d7d1"),
+    (("diagram", "--window", "1/3..1/2", "--max-denom", "1", "--svg", "empty.svg"), 0,
+     "0e0abad04dd3d5beb1717cb9e96ce40b3abfab678245dfaaff0a31c3112c5bbf",
+     "empty.svg", "705bd701aafb1f912a6e1c298d8b0a31411e53315df802ceec8678c79bf93415"),
     (("funnel", "--svg", "funnel-neg.svg", "--max-denom", "20", "--", "-4/7"), 0,
      "f2ca2e5d5465c4fa8e1e1d8e9379f8be1dc110d754f8faf92d225c166f2db71f",
      "funnel-neg.svg", "462722d88acae56bd9ecdce5e90f70d4c81ef63fd414e7f948a8734b779cadf2"),
