@@ -385,12 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_window_values(argv: list[str]) -> list[str]:
     # argparse reads "-5..5" as an option; splice values like "--range -5..5"
-    # into "--range=-5..5" so negative bounds parse.
+    # into "--range=-5..5" so negative bounds parse.  argparse also accepts
+    # unique prefixes such as "--ran", so splice those too.
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--range", "--window") and i + 1 < len(argv):
+        if (
+            len(tok) > 2
+            and tok.startswith("--")
+            and ("--range".startswith(tok) or "--window".startswith(tok))
+            and i + 1 < len(argv)
+        ):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -2,17 +2,19 @@
 
 The diagram lives in the plane: the vertex for p/q is (p/q, 1/q), two
 vertices are joined exactly when their values form a Farey pair, and every
-Farey triple bounds a triangle.  A window is built by one in-order
-traversal of the Stern-Brocot tree per unit interval [k, k+1], on plain
-integer pairs.  In-order traversal visits the vertices in increasing order
-(Graham-Knuth-Patashnik, "Concrete Mathematics", section 4.5).  The Farey
-neighbours of a vertex x to its right form a chain r_0, r_1, r_2, ...,
+Farey triple bounds a triangle.  At density n the vertices are the Farey
+sequence F_n, and a window is built on plain integer pairs in two steps.
+A Stern-Brocot search finds the consecutive terms a/b < lo <= c/d of F_n
+in at most n steps.  Then the terms follow one rule: if a/b and c/d are
+consecutive, the next term is (j*c - a)/(j*d - b) with j = (n + b) // d
+(Graham-Knuth-Patashnik, "Concrete Mathematics", exercise 4.61).  The
+Farey neighbours of a vertex x to its right form a chain r_0, r_1, ...,
 where r_0 is x's right Farey parent and r_{j+1} is the mediant of x and
-r_j; the chain decreases towards x (Hatcher, "Topology of Numbers").  Read
-back from its last member within max_den, the chain gives x's edges in
-increasing order, and consecutive members give x's triangles
-(x, r_{j+1}, r_j) in increasing order too.  A window of V vertices and E
-edges thus costs O(V + E), plus the search paths down to its two ends,
+r_j; the chain decreases towards x (Hatcher, "Topology of Numbers"), and
+its last member within n is x's next term.  Read back from the next term,
+the chain gives x's edges in increasing order, and consecutive members
+give x's triangles (x, r_{j+1}, r_j) in increasing order too.  A window of
+V vertices and E edges thus costs O(V + E) plus at most n search steps,
 and sorts nothing.
 
 The funnel of a non-integer rational alpha is the strip of triangles the
@@ -67,13 +69,13 @@ class Diagram:
 
 
 def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
-    """Traverse the Stern-Brocot tree over each unit interval covering [lo, hi].
+    """Walk the Farey sequence F_max_den from its first term >= lo to hi.
 
     Vertices come out in increasing order, edges (a, b) with a < b and
-    triangles (x, m, y) with x < m < y in lexicographic order.  Pruning
-    at denominators above max_den loses nothing: every vertex's
-    Stern-Brocot ancestors have strictly smaller denominators.  Neither
-    does skipping intervals that lie wholly outside the window.
+    triangles (x, m, y) with x < m < y in lexicographic order.  The walk
+    starts from consecutive terms a/b < lo <= c/d, found by a
+    Stern-Brocot search from k < lo <= k + 1 that stops once the mediant's
+    denominator exceeds max_den, and steps by the next-term rule.
     """
     if lo.is_infinite or hi.is_infinite:
         raise DomainError("diagram windows must be finite")
@@ -97,54 +99,37 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
             v = pending[p, q] = ExtendedRational(p, q)
         return v
 
-    def visit(p: int, q: int, rp: int, rq: int) -> None:
-        """Emit vertex p/q, whose right Farey parent is rp/rq, if it lies in
-        the window, with its edges and triangles towards larger values."""
-        if p * lo_q < lo_p * q or p * hi_q > hi_p * q:
-            return
-        x = pending.pop((p, q), None)
+    k = -(-lo_p // lo_q) - 1  # ceil(lo) - 1
+    a, b, c, d = k, 1, k + 1, 1
+    while b + d <= max_den:
+        if (a + c) * lo_q < lo_p * (b + d):
+            a, b = a + c, b + d
+        else:
+            c, d = a + c, b + d
+
+    while c * hi_q <= hi_p * d:
+        x = pending.pop((c, d), None)
         if x is None:
-            x = ExtendedRational(p, q)
+            x = ExtendedRational(c, d)
         vertices.append(x)
-        # As integer pairs the right neighbours are r_j = r_0 + j*x.  Start
-        # at the smallest, the last with denominator within max_den, and
-        # step back towards r_0 while the values stay <= hi.
-        j = (max_den - rq) // q
-        sp, sq = rp + j * p, rq + j * q
+        j = (max_den + b) // d
+        a, b, c, d = c, d, j * c - a, j * d - b
+        # Now x = a/b and c/d is the next term.  x's right neighbours are
+        # c/d - i*(a, b) for i = 0 .. (d - 1) // b, in increasing order;
+        # emit those <= hi.
+        sp, sq = c, d
         if sp * hi_q > hi_p * sq:
-            return
+            break
         s = rational(sp, sq)
         edges.append((x, s))
-        while j:
-            j -= 1
-            tp, tq = sp - p, sq - q
-            if tp * hi_q > hi_p * tq:
-                return
-            t = rational(tp, tq)
+        for _ in range((d - 1) // b):
+            sp, sq = sp - a, sq - b
+            if sp * hi_q > hi_p * sq:
+                break
+            t = rational(sp, sq)
             edges.append((x, t))
             triangles.append((x, s, t))
-            s, sp, sq = t, tp, tq
-
-    k_lo = lo_p // lo_q
-    k_hi = -(-hi_p // hi_q)  # ceil
-    for k in range(k_lo, k_hi):
-        visit(k, 1, k + 1, 1)
-        # In-order over the open interval (k, k+1): descend left from the
-        # interval (a, b) while it meets the window and its mediant is within
-        # max_den, stacking b, the right parent of each mediant passed.
-        ap, aq, bp, bq = k, 1, k + 1, 1
-        parents: list[tuple[int, int]] = []
-        while True:
-            while aq + bq <= max_den and bp * lo_q > lo_p * bq and ap * hi_q < hi_p * aq:
-                parents.append((bp, bq))
-                bp, bq = ap + bp, aq + bq
-            if not parents:
-                break
-            # The descent stopped in (a, m): visit m, then walk (m, b).
-            ap, aq = bp, bq
-            bp, bq = parents.pop()
-            visit(ap, aq, bp, bq)
-    visit(k_hi, 1, k_hi + 1, 1)  # ceil(hi), in the window when hi is an integer
+            s = t
 
     return Diagram(
         lo=lo,

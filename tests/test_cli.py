@@ -215,6 +215,24 @@ class TestDiagramCommand:
         assert run(["diagram", "--window", "1..0", "--svg", "/tmp/x.svg"]) == 3
 
 
+@pytest.mark.parametrize("full, short", [
+    (["lines", "[0;3,_,4]", "--range", "-2..2"], ["lines", "[0;3,_,4]", "--ran", "-2..2"]),
+    (["lines", "[0;3,_,4]", "--range", "-2..2"], ["lines", "[0;3,_,4]", "--ran=-2..2"]),
+    (["lines", "[0;3,_,4]", "--range", "0..2"], ["lines", "[0;3,_,4]", "--r", "0..2"]),
+    (["diagram", "--window", "-1..0", "--svg", "x.svg"], ["diagram", "--win", "-1..0", "--svg", "x.svg"]),
+    (["diagram", "--window", "-1/2..0", "--svg", "x.svg"], ["diagram", "--w", "-1/2..0", "--svg", "x.svg"]),
+], ids=lambda argv: " ".join(argv))
+def test_abbreviated_range_and_window_parse_like_the_full_spelling(full, short, tmp_path,
+                                                                     monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    results = []
+    for argv in (full, short):
+        code = run(argv)
+        results.append((code, out_of(capsys)[0]))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 class TestUnwritableSvg:
     @pytest.mark.parametrize("argv", [
         ["diagram", "--window", "0..1", "--max-denom", "5", "--svg"],

@@ -28,7 +28,6 @@ from oracles import (
     farey_det,
     gcd_scan_vertices,
     nu_frac,
-    open_segments_intersect,
     ray_funnel_triangles,
     search_path_funnel,
 )
@@ -106,18 +105,6 @@ class TestBuildDiagram:
             build_diagram(R(0), R(1, 0), 5)
         with pytest.raises(DomainError):
             build_diagram(R(0), R(1), 0)
-
-    def test_open_edge_interiors_disjoint_up_to_20(self):
-        d = build_diagram(R(0), R(1), 20)
-        segs = [
-            (nu_frac(Fraction(a.num, a.den)), nu_frac(Fraction(b.num, b.den)))
-            for a, b in d.edges
-        ]
-        for i in range(len(segs)):
-            a1, a2 = segs[i]
-            for j in range(i + 1, len(segs)):
-                b1, b2 = segs[j]
-                assert not open_segments_intersect(a1, a2, b1, b2), (segs[i], segs[j])
 
     def test_every_edge_in_at_most_two_triangles_and_exactly_two_when_complete(self):
         d = build_diagram(R(0), R(1), 12)
@@ -303,17 +290,6 @@ class TestFunnelTheorem:
                     continue
                 report = verify_funnel_theorem(standard_expansion(R(p, q)))
                 assert report.all_passed, report.as_dict()
-
-    def test_funnels_match_geometric_ray_oracle_den_60(self):
-        d = build_diagram(R(0), R(1), 60)
-        index = XIntervalIndex(d.triangles)
-        for q in range(2, 61):
-            for p in range(1, q):
-                alpha = Fraction(p, q)
-                if alpha.denominator != q:
-                    continue
-                got = {_tri_key(t) for t in funnel(R(p, q)).triangles}
-                assert got == ray_funnel_triangles(d, alpha, index), f"{p}/{q}"
 
     @pytest.mark.parametrize("k_lo", [-1, 1])
     def test_shifted_windows_match_oracle(self, k_lo):
