@@ -391,11 +391,8 @@ def _merge_window_values(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if (
-            len(tok) > 2
-            and tok.startswith("--")
-            and ("--range".startswith(tok) or "--window".startswith(tok))
-            and i + 1 < len(argv)
+        if len(tok) > 2 and i + 1 < len(argv) and (
+            "--range".startswith(tok) or "--window".startswith(tok)
         ):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2

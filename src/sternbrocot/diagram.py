@@ -85,20 +85,6 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
         raise DomainError("max_den must be positive")
 
     lo_p, lo_q, hi_p, hi_q = lo.num, lo.den, hi.num, hi.den
-    vertices: list[ExtendedRational] = []
-    edges: list[Edge] = []
-    triangles: list[Triangle] = []
-    # One object per vertex, shared by its edges and triangles.  A vertex
-    # is met first as a right neighbour of a smaller one; once visited it
-    # is never met again.
-    pending: dict[tuple[int, int], ExtendedRational] = {}
-
-    def rational(p: int, q: int) -> ExtendedRational:
-        v = pending.get((p, q))
-        if v is None:
-            v = pending[p, q] = ExtendedRational(p, q)
-        return v
-
     k = -(-lo_p // lo_q) - 1  # ceil(lo) - 1
     a, b, c, d = k, 1, k + 1, 1
     while b + d <= max_den:
@@ -107,10 +93,22 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
         else:
             c, d = a + c, b + d
 
+    vertices: list[ExtendedRational] = []
+    edges: list[Edge] = []
+    triangles: list[Triangle] = []
+    # One object per vertex, shared by its edges and triangles.  Every
+    # vertex after the first is made as the next term of the one before
+    # it; once visited it is never met again.
+    pending = {(c, d): ExtendedRational(c, d)}
+
+    def rational(p: int, q: int) -> ExtendedRational:
+        v = pending.get((p, q))
+        if v is None:
+            v = pending[p, q] = ExtendedRational(p, q)
+        return v
+
     while c * hi_q <= hi_p * d:
-        x = pending.pop((c, d), None)
-        if x is None:
-            x = ExtendedRational(c, d)
+        x = pending.pop((c, d))
         vertices.append(x)
         j = (max_den + b) // d
         a, b, c, d = c, d, j * c - a, j * d - b

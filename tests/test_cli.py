@@ -225,12 +225,10 @@ class TestDiagramCommand:
 def test_abbreviated_range_and_window_parse_like_the_full_spelling(full, short, tmp_path,
                                                                      monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    results = []
-    for argv in (full, short):
-        code = run(argv)
-        results.append((code, out_of(capsys)[0]))
-    assert results[0][0] == 0
-    assert results[1] == results[0]
+    assert run(full) == 0
+    want = out_of(capsys)[0]
+    assert run(short) == 0
+    assert out_of(capsys)[0] == want
 
 
 class TestUnwritableSvg:
