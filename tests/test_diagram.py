@@ -141,8 +141,8 @@ def random_window(seed: int) -> tuple[Fraction, Fraction, int]:
 
 
 # Windows at the edges of the start search: the longest search at the cap
-# with one vertex, no vertex at all, no vertex at the cap, integer ends at
-# max_den 1, and one vertex at lo.
+# with one vertex, no vertex at all, a search to the cap that finds no
+# vertex, integer ends at max_den 1, and one vertex at lo.
 FIXED_WINDOWS = [
     (Fraction(999, 1000), Fraction(1), 400),
     (Fraction(1, 3), Fraction(1, 2), 1),
