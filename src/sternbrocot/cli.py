@@ -29,7 +29,9 @@ value: `funnel` of p/q refuses a strip of more than 160,000 triangles
 (a_1 + ... + a_n - 1 for its standard expansion, so `funnel 1/160001`
 runs and `funnel 1/160002` does not), and `lines` refuses a --range of more
 than 160,000 members.  Both are checked before any work and end in exit 3
-with one stderr line.
+with one stderr line.  Last, SVG coordinates are floats: a window whose
+ends overflow a float or whose width floats cannot tell from zero (such as
+10^20..10^20+1) is a domain error (3) and writes no file.
 """
 
 from __future__ import annotations

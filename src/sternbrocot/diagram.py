@@ -36,9 +36,12 @@ spoke runs from the pivot to the bottom vertex and terminates on the ray,
 and it is counted.  That convention is what makes the index at each pivot
 equal the fan size for every expansion length.  The only edge of a strip
 triangle the ray crosses is the search interval (lo, hi) it was built on,
-so funnel() counts one crossing at lo and one at hi per triangle.  The
-verifier does not trust that count: it recounts the distinct crossing
-edges of the triangles by integer determinants.
+so funnel() counts one crossing at lo and one at hi per triangle, keeping
+each boundary vertex's count beside it.  The verifier takes the
+convergents and fan sizes from the expansion alone, so a pivot missing
+from the index map fails its clause, and it does not trust funnel()'s
+count: it recounts the distinct crossing edges of the triangles by integer
+determinants.
 """
 
 from __future__ import annotations
@@ -150,7 +153,6 @@ class Funnel:
 
     alpha: ExtendedRational
     expansion: ContinuedFraction
-    convergents: tuple[ExtendedRational, ...]
     triangles: tuple[Triangle, ...]
     left_edge: tuple[ExtendedRational, ...]
     right_edge: tuple[ExtendedRational, ...]
@@ -188,30 +190,26 @@ def funnel(alpha: ExtendedRational) -> Funnel:
     lo, hi = ExtendedRational(lp), ExtendedRational(hp)
     left, right = [lo], [hi]
     triangles: list[Triangle] = []
-    # A vertex's index is the number of triangles built while it is the
-    # current lo or hi; it is final when a mediant replaces the vertex.
-    left_count: list[int] = []
-    right_count: list[int] = []
-    lo_since = hi_since = 0
+    # Each boundary vertex's index, beside it: every triangle adds one to
+    # the counts of its base ends, the current lo and hi.
+    left_count, right_count = [0], [0]
     while True:
         mp, mq = lp + hp, lq + hq
         side = mp * b - a * mq
         m = ExtendedRational(mp, mq) if side else alpha
         triangles.append((lo, m, hi))
+        left_count[-1] += 1
+        right_count[-1] += 1
         if side > 0:  # alpha < m
-            right_count.append(len(triangles) - hi_since)
-            hi_since = len(triangles)
             hi, hp, hq = m, mp, mq
             right.append(m)
+            right_count.append(0)
         elif side < 0:
-            left_count.append(len(triangles) - lo_since)
-            lo_since = len(triangles)
             lo, lp, lq = m, mp, mq
             left.append(m)
+            left_count.append(0)
         else:
             break
-    left_count.append(len(triangles) - lo_since)
-    right_count.append(len(triangles) - hi_since)
     if expansion.degree == 1:
         # Single fan: its closing spoke joins the pivot to the bottom
         # vertex and ends on the ray; counted per the fan-size convention.
@@ -220,7 +218,6 @@ def funnel(alpha: ExtendedRational) -> Funnel:
     return Funnel(
         alpha=alpha,
         expansion=expansion,
-        convergents=convergents(expansion),
         triangles=tuple(triangles),
         left_edge=tuple(left),
         right_edge=tuple(right),
@@ -284,25 +281,25 @@ def verify_funnel_theorem(seq: ContinuedFraction | Funnel) -> FunnelTheoremRepor
     """Check the funnel of evaluate(seq) against the expansion's terms.
 
     Given a Funnel already built, check that one against its own
-    expansion and build nothing.  The funnel's indices are also recounted
-    from its triangles by integer determinants, independently of
-    funnel()'s own count; a disagreement adds a failed "index recount"
-    clause.  Any failed clause is an implementation bug, never a property
-    of the input; the report carries the offending values verbatim.
+    expansion and build nothing.  The convergents and the expected pivot
+    indices come from the expansion, never from the funnel, and a pivot
+    with no index in the funnel fails its clause.  The funnel's indices
+    are also recounted from its triangles by integer determinants,
+    independently of funnel()'s own count; a disagreement adds a failed
+    "index recount" clause.  Any failed clause is an implementation bug,
+    never a property of the input; the report carries the offending
+    values verbatim.
     """
-    if isinstance(seq, Funnel):
-        f, seq = seq, seq.expansion
-        alpha = f.alpha
-    else:
+    if not isinstance(seq, Funnel):
         if not seq.is_standard:
             raise DomainError(f"{seq} is not standard")
         if seq.degree < 1:
             raise DomainError("need n >= 1 (a non-integer value)")
-        alpha = evaluate(seq)
-        f = funnel(alpha)
+        seq = funnel(evaluate(seq))
+    f, seq = seq, seq.expansion
     terms = seq.terms
     n = seq.degree
-    cs = f.convergents
+    cs = convergents(seq)
     left = {(v.num, v.den) for v in f.left_edge}
     right = {(v.num, v.den) for v in f.right_edge}
 
@@ -319,10 +316,10 @@ def verify_funnel_theorem(seq: ContinuedFraction | Funnel) -> FunnelTheoremRepor
     )
 
     end_misses = []
-    i0 = vertex_index(f, cs[0])
+    i0 = f.indices.get(cs[0])
     if i0 != terms[1]:
         end_misses.append(f"index(c_0)={i0}, expected a_1={terms[1]}")
-    ilast = vertex_index(f, cs[n - 1])
+    ilast = f.indices.get(cs[n - 1])
     if ilast != terms[n]:
         end_misses.append(f"index(c_{n - 1})={ilast}, expected a_n={terms[n]}")
     clause2 = ClauseResult(
@@ -333,7 +330,7 @@ def verify_funnel_theorem(seq: ContinuedFraction | Funnel) -> FunnelTheoremRepor
 
     mid_misses = []
     for j in range(1, n - 1):
-        ij = vertex_index(f, cs[j])
+        ij = f.indices.get(cs[j])
         if ij != 1 + terms[j + 1]:
             mid_misses.append(f"index(c_{j})={ij}, expected 1+a_{j + 1}={1 + terms[j + 1]}")
     clause3 = ClauseResult(
@@ -346,7 +343,7 @@ def verify_funnel_theorem(seq: ContinuedFraction | Funnel) -> FunnelTheoremRepor
     recount_misses = _index_recount_misses(f)
     if recount_misses:
         clauses += (ClauseResult("index recount", False, "; ".join(recount_misses)),)
-    return FunnelTheoremReport(seq, alpha, clauses)
+    return FunnelTheoremReport(seq, f.alpha, clauses)
 
 
 def _index_recount_misses(f: Funnel) -> list[str]:

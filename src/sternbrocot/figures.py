@@ -17,9 +17,11 @@ one choice left to callers is the colour of a point overlay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .errors import DomainError
 from .rationals import ExtendedRational
 
 if TYPE_CHECKING:
@@ -81,8 +83,15 @@ def _clip(line: ExtendedLine, lo: ExtendedRational, hi: ExtendedRational):
 
 
 def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] = ()) -> str:
-    x0 = float(diagram.lo)
-    scale = (_WIDTH - 2 * _MARGIN) / (float(diagram.hi) - x0)
+    # Every mark is placed by floats: refuse a window whose ends overflow
+    # them or whose width they cannot tell from zero.
+    try:
+        x0 = float(diagram.lo)
+        scale = (_WIDTH - 2 * _MARGIN) / (float(diagram.hi) - x0)
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise DomainError(f"SVG window {diagram.lo}..{diagram.hi} is beyond what floats can draw")
     height = _fmt(2 * _MARGIN + scale)  # data y spans [0, 1]
 
     def px(x) -> str:

@@ -25,11 +25,6 @@ def norm_pair(p: int, q: int) -> tuple[int, int]:
     return (p // g, q // g)
 
 
-def er_pair(x) -> tuple[int, int]:
-    """(num, den) of a package value, for cross-route comparisons."""
-    return (x.num, x.den)
-
-
 def frac_of(x) -> Fraction:
     assert x.den != 0
     return Fraction(x.num, x.den)

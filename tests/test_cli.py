@@ -397,6 +397,22 @@ class TestInternalErrorExit:
             assert "clause (planted): FAIL [planted failure]\n" in out
             assert err == "internal error: funnel theorem failed for [0;3,2]\n"
 
+    def test_a_pivot_without_an_index_is_exit_4(self, capsys, monkeypatch):
+        # 1/3 is c_1 of 2/7 = [0;3,2].  The report names each strip vertex
+        # and lists the index of each edge vertex, so 1/3 leaves the
+        # triangles and the right edge along with its index.
+        f = diagram.funnel(ExtendedRational(2, 7))
+        third = ExtendedRational(1, 3)
+        corrupt = dataclasses.replace(
+            f, triangles=tuple(t for t in f.triangles if third not in t),
+            right_edge=tuple(v for v in f.right_edge if v != third),
+            indices={v: i for v, i in f.indices.items() if v != third})
+        monkeypatch.setattr(diagram, "funnel", lambda alpha: corrupt)
+        assert run(["funnel", "2/7"]) == 4
+        out, err = out_of(capsys)
+        assert "clause (end indices): FAIL" in out
+        assert err == "internal error: funnel theorem failed for [0;3,2]\n"
+
 
 class TestFunnelBuiltOnce:
     @pytest.mark.parametrize("extra", [[], ["--json"], ["--svg", "F.svg"]], ids=["text", "json", "svg"])
@@ -466,6 +482,32 @@ class TestSvgWindowSizeCap:
                     "--svg", str(target)]) == 3
         assert "too large" in out_of(capsys)[1]
         assert not target.exists()
+
+
+class TestSvgFloatRange:
+    """A window whose ends overflow a float, or whose width floats cannot
+    tell from zero, is refused before any file is opened."""
+
+    @pytest.mark.parametrize("argv", [
+        ["diagram", "--window", f"{10**20}..{10**20 + 1}", "--max-denom", "2"],
+        ["diagram", "--window", f"1/3..{10**17 + 1}/{3 * 10**17}", "--max-denom", "2"],
+        ["funnel", f"{2 * 10**20 + 1}/2"],
+        ["lines", f"[{10**20};_]"],
+        ["diagram", "--window", f"{10**400}..{10**400 + 1}"],
+        ["diagram", "--window", f"0..1/{10**320}", "--max-denom", "1"],
+    ], ids=["unit-1e20", "no-vertex", "funnel", "lines", "overflow", "infinite-scale"])
+    def test_is_exit_3_and_writes_nothing(self, argv, tmp_path, capsys):
+        target = tmp_path / "out.svg"
+        assert run(argv + ["--svg", str(target)]) == 3
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: SVG window ") and err.count("\n") == 1
+        assert not target.exists()
+
+    def test_a_window_at_2_to_the_52_is_drawn(self, tmp_path, capsys):
+        target = tmp_path / "out.svg"
+        assert run(["diagram", "--window", f"{2**52}..{2**52 + 1}", "--svg", str(target)]) == 0
+        assert target.read_text().startswith("<?xml")
 
 
 class TestLinkCommands:
@@ -554,9 +596,12 @@ class TestValueBoundedWork:
         assert out_of(capsys)[1] == "error: funnels are defined for finite rationals\n"
 
 
-# Fuzz vocabulary: small values, plus tokens every command must refuse cleanly.
+# Fuzz vocabulary: small values, plus edge tokens that some commands must
+# refuse: degenerate or negative values, malformed text, an integer past
+# the digit limit, ranges and windows above the budget, and a unit window
+# that floats cannot draw.
 _BAD = ["0/0", "1/0", "-1", "-5/3", "garbage", "[0;", "_", "9" * 5000,
-        "0..10000000", "-99999999..99999999"]
+        "0..10000000", "-99999999..99999999", f"{10**20}..{10**20 + 1}"]
 _SMALL = st.one_of(st.integers(-5, 5).map(str),
                    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 20)))
 _VALUE = st.one_of(_SMALL, st.sampled_from(_BAD))

@@ -8,6 +8,7 @@ import pytest
 from sternbrocot import (
     ContinuedFraction,
     Diagram,
+    DomainError,
     ExtendedLine,
     ExtendedRational,
     FunnelOverlay,
@@ -88,6 +89,11 @@ def test_funnel_overlay_draws_strip_and_ray():
     fgroup = [g for g in root.findall(f"{SVG_NS}g") if g.get("class") == "funnel"][0]
     assert len(fgroup.findall(f"{SVG_NS}polygon")) == len(f.triangles)
     assert len(fgroup.findall(f"{SVG_NS}line")) == 1  # the dashed defining ray
+
+
+def test_a_window_floats_cannot_tell_apart_is_a_domain_error():
+    with pytest.raises(DomainError, match="SVG window"):
+        render_svg(build_diagram(R(10**20), R(10**20 + 1), 2))
 
 
 def test_coordinates_use_six_significant_digits():
