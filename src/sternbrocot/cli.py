@@ -188,6 +188,8 @@ def _cmd_funnel(args) -> str:
     name = {id(v): str(v) for v in (*indexed, f.alpha)}
     clauses = [f"clause ({c.name}): {'pass' if c.passed else 'FAIL'} [{c.detail}]"
                for c in report.clauses]
+    # An edge vertex missing from the index map prints as "?" (null in
+    # JSON); the verifier has failed a clause for it, so the run exits 4.
 
     if args.json:
         out = _json_text(
@@ -195,7 +197,7 @@ def _cmd_funnel(args) -> str:
                 "base": str(f.alpha),
                 "terms": list(f.expansion.terms),
                 "triangles": [[name[id(a)], name[id(m)], name[id(b)]] for a, m, b in f.triangles],
-                "indices": {name[id(v)]: f.indices[v] for v in indexed},
+                "indices": {name[id(v)]: f.indices.get(v) for v in indexed},
             }
         )
     elif args.svg:
@@ -212,7 +214,7 @@ def _cmd_funnel(args) -> str:
             *[f"  {name[id(a)]} {name[id(m)]} {name[id(b)]}" for a, m, b in f.triangles],
             "left edge:  " + " ".join([name[id(v)] for v in f.left_edge]),
             "right edge: " + " ".join([name[id(v)] for v in f.right_edge]),
-            "indices:    " + " ".join([f"{name[id(v)]}:{f.indices[v]}" for v in indexed]),
+            "indices:    " + " ".join([f"{name[id(v)]}:{f.indices.get(v, '?')}" for v in indexed]),
             *clauses,
         ])
     if args.json or args.svg:

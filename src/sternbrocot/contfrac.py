@@ -15,6 +15,14 @@ a_j >= 1 for j >= 1 and a_n >= 2 (single-term sequences are standard by
 convention).
 
 All functions are pure and all values immutable.
+
+Values are built with the private ExtendedRational._from_coprime, which
+skips the gcd: evaluate and convergents return columns of a product of
+matrices of determinant +-1, and a column of such a matrix is coprime.
+Its denominator may be 0 or negative (see rationals).  Likewise the
+private ContinuedFraction._from_terms skips the term checks for the
+Euclidean quotients of standard_expansion, which are ints and never
+empty.  Every term list from outside goes through ContinuedFraction(...).
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError
@@ -40,8 +49,16 @@ class ContinuedFraction:
     def __post_init__(self):
         if not self.terms:
             raise DomainError("continued fractions need at least one term")
-        if not all(isinstance(t, int) for t in self.terms):
+        if not all(map(isinstance, self.terms, repeat(int))):
             raise DomainError("terms must be integers")
+
+    @classmethod
+    def _from_terms(cls, terms: tuple[int, ...]) -> "ContinuedFraction":
+        """The expansion of a nonempty tuple of ints, built without the
+        checks; the caller keeps that precondition."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     @property
     def degree(self) -> int:
@@ -169,17 +186,16 @@ def continuant_product(terms: Iterable[int]) -> IntMat2:
 def _as_terms(seq: ContinuedFraction | Sequence[int]) -> tuple[int, ...]:
     if isinstance(seq, ContinuedFraction):
         return seq.terms
-    terms = tuple(seq)
-    if not terms:
-        raise DomainError("continued fractions need at least one term")
-    return terms
+    # evaluate and convergents skip the gcd, so a bare sequence is checked too.
+    return ContinuedFraction(tuple(seq)).terms
 
 
 def evaluate(seq: ContinuedFraction | Sequence[int]) -> ExtendedRational:
     """Evaluate [a0; a1, ..., an] exactly; 1/0 is a value, not an error."""
     terms = _as_terms(seq)
     m = continuant_product(terms[1:])
-    return ExtendedRational(m.b + terms[0] * m.d, m.d)
+    # The column of (1 a0; 0 1) m, whose determinant is +-1.
+    return ExtendedRational._from_coprime(m.b + terms[0] * m.d, m.d)
 
 
 def standard_expansion(value: ExtendedRational) -> ContinuedFraction:
@@ -199,17 +215,19 @@ def standard_expansion(value: ExtendedRational) -> ContinuedFraction:
         if r == 0:
             break
         p, q = q, r
-    return ContinuedFraction(tuple(terms))
+    return ContinuedFraction._from_terms(tuple(terms))  # int quotients, at least one
 
 
 def convergents(seq: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRational, ...]:
     """Values of all prefixes [a0; a1, ..., aj], built from one running product."""
     terms = _as_terms(seq)
+    # (b, d) is a column of a running product of determinant +-1.
+    new = ExtendedRational._from_coprime
     a, b, c, d = 1, terms[0], 0, 1
-    out = [ExtendedRational(b, d)]
+    out = [new(b, d)]
     for t in terms[1:]:
         a, b, c, d = b, a + b * t, d, c + d * t
-        out.append(ExtendedRational(b, d))
+        out.append(new(b, d))
     return tuple(out)
 
 

@@ -101,13 +101,15 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
     triangles: list[Triangle] = []
     # One object per vertex, shared by its edges and triangles.  Every
     # vertex after the first is made as the next term of the one before
-    # it; once visited it is never met again.
-    pending = {(c, d): ExtendedRational(c, d)}
+    # it; once visited it is never met again.  Consecutive Farey terms
+    # have determinant 1, so every term is coprime.
+    new = ExtendedRational._from_coprime
+    pending = {(c, d): new(c, d)}
 
     def rational(p: int, q: int) -> ExtendedRational:
         v = pending.get((p, q))
         if v is None:
-            v = pending[p, q] = ExtendedRational(p, q)
+            v = pending[p, q] = new(p, q)
         return v
 
     while c * hi_q <= hi_p * d:
@@ -196,7 +198,8 @@ def funnel(alpha: ExtendedRational) -> Funnel:
     while True:
         mp, mq = lp + hp, lq + hq
         side = mp * b - a * mq
-        m = ExtendedRational(mp, mq) if side else alpha
+        # The mediant of the Farey pair (lo, hi) is coprime.
+        m = ExtendedRational._from_coprime(mp, mq) if side else alpha
         triangles.append((lo, m, hi))
         left_count[-1] += 1
         right_count[-1] += 1

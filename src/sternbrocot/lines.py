@@ -91,7 +91,11 @@ class ExtendedLine:
 
 @dataclass(frozen=True)
 class LineFamily:
-    """One slot of a standard sequence opened up to an integer parameter."""
+    """One slot of a standard sequence opened up to an integer parameter.
+
+    Built by line_family: value() and anchor_x skip the gcd because these
+    coefficients come from products of determinant +-1.
+    """
 
     base: ContinuedFraction
     slot: int
@@ -123,7 +127,8 @@ class LineFamily:
     def value(self, m: int) -> ExtendedRational:
         """The substituted continued fraction's value, infinity included."""
         d = self.denominator_at(m)
-        return ExtendedRational(self.numerator_at(m) + self.shift * d, d)
+        # A column of the member's continuant product, of determinant +-1.
+        return ExtendedRational._from_coprime(self.numerator_at(m) + self.shift * d, d)
 
     def vertex(self, m: int) -> PlanePoint:
         return vertex_point(self.value(m))
@@ -240,5 +245,6 @@ def line_family(seq: ContinuedFraction, slot: int) -> LineFamily:
         suffix_column=(v, w),
         num_coeffs=(t * w, r * w + t * v),
         den_coeffs=(u * w, s * w + u * v),
-        anchor_x=ExtendedRational(terms[0] * u + t, u),
+        # (t, u) is a column of pm, of determinant +-1, so a0*u + t and u are coprime.
+        anchor_x=ExtendedRational._from_coprime(terms[0] * u + t, u),
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .contfrac import ContinuedFraction, evaluate
 from .errors import DomainError
@@ -116,8 +116,7 @@ def schubert_equivalent(a: ExtendedRational, b: ExtendedRational) -> bool:
     return pb == pa or pb == q - pa or pa * pb % q in (1, q - 1)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     fraction: ExtendedRational        # in [0, 1/2]
     sequence: ContinuedFraction       # standard expansion of the fraction
 
@@ -155,7 +154,10 @@ def canonical_fraction(x: ExtendedRational) -> CanonicalForm:
     if k0 < low:
         low = k0
         terms.reverse()
-    return CanonicalForm(ExtendedRational(low, q), ContinuedFraction((0, *terms)))
+    # low is +-p and K is +-p^{-1} mod q, both units mod q; the terms are
+    # int quotients.
+    return CanonicalForm(ExtendedRational._from_coprime(low, q),
+                         ContinuedFraction._from_terms((0, *terms)))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,20 @@ point (p/q, 1/q); the infinite value maps to the added point of
 R^2 union {oo}.
 
 Everything here is immutable after construction and safe to share between
-threads; ExtendedRational enforces it, so assigning or deleting num or den
-raises AttributeError and a value's hash never changes.  There are no
+threads; ExtendedRational and PlanePoint enforce it, so assigning or
+deleting an attribute raises AttributeError and a hash never changes.  There are no
 arithmetic operators: callers compute with the integers num and den and
 build a new value from the result.  Floating point never appears;
 rendering code converts to floats at the last moment.
+
+ExtendedRational(num, den) reduces any integer pair with one gcd.  The
+private ExtendedRational._from_coprime(num, den) skips that gcd, so it is
+only for pairs the library has just computed and knows to be coprime:
+pairs that are a column of an integer matrix of determinant +-1, such as
+consecutive Farey terms, the mediant of a Farey pair, the vertex height
+1/q and every value or convergent [a0; a1, ..., an] of a continued
+fraction.  Input from outside, and any pair that may share a factor, goes
+through the public constructor.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import DomainError, ParseError, too_many_digits
 
@@ -51,6 +59,24 @@ class ExtendedRational:
                 den //= g
         _set_num(self, num)
         _set_den(self, den)
+
+    @classmethod
+    def _from_coprime(cls, num: int, den: int) -> "ExtendedRational":
+        """The value num/den of an integer pair with gcd(num, den) = 1,
+        built without computing the gcd.
+
+        The precondition is the caller's to keep: the pair is stored as it
+        is, negated when den < 0.  With den == 0 the precondition means
+        num is +-1, and the result is 1/0.
+        """
+        self = object.__new__(cls)
+        if den < 0:
+            num, den = -num, -den
+        elif den == 0:
+            num = 1
+        _set_num(self, num)
+        _set_den(self, den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ExtendedRational is immutable; cannot set {name}")
@@ -124,7 +150,7 @@ class ExtendedRational:
         return f"ExtendedRational({self.num}, {self.den})"
 
 
-# __setattr__ refuses every write, so __init__ stores through the slots.
+# __setattr__ refuses every write, so the constructors store through the slots.
 _set_num = ExtendedRational.num.__set__
 _set_den = ExtendedRational.den.__set__
 
@@ -165,25 +191,44 @@ def mediant(a: ExtendedRational, b: ExtendedRational) -> ExtendedRational:
     """
     if not is_farey_pair(a, b):
         raise DomainError(f"{a} and {b} are not a Farey pair")
-    return ExtendedRational(a.num + b.num, a.den + b.den)
+    # (p+r)s - (q+s)r = ps - qr = +-1, so the mediant is coprime.
+    return ExtendedRational._from_coprime(a.num + b.num, a.den + b.den)
 
 
-@dataclass(frozen=True)
 class PlanePoint:
     """Point of R^2 union {oo} with exact rational coordinates.
 
     The infinite point carries no coordinates; finite points store exact
-    rationals.  Floats appear only when rendering.
+    rationals.  Floats appear only when rendering.  Immutable like
+    ExtendedRational: assigning or deleting x or y raises AttributeError.
     """
 
-    x: ExtendedRational | None
-    y: ExtendedRational | None
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+    def __init__(self, x: ExtendedRational | None, y: ExtendedRational | None):
+        if (x is None) != (y is None):
             raise DomainError("a point has both coordinates or neither")
-        if self.x is not None and (self.x.is_infinite or self.y.is_infinite):
+        if x is not None and (x.is_infinite or y.is_infinite):
             raise DomainError("finite points need finite coordinates")
+        _set_x(self, x)
+        _set_y(self, y)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PlanePoint is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PlanePoint is immutable; cannot delete {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) == (other.x, other.y)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"PlanePoint(x={self.x!r}, y={self.y!r})"
 
     @property
     def at_infinity(self) -> bool:
@@ -201,6 +246,9 @@ class PlanePoint:
         return f"({self.x}, {self.y})"
 
 
+_set_x = PlanePoint.x.__set__
+_set_y = PlanePoint.y.__set__
+
 INFINITE_POINT = PlanePoint(None, None)
 
 
@@ -211,4 +259,5 @@ def vertex_point(value: ExtendedRational) -> PlanePoint:
     """
     if value.is_infinite:
         return INFINITE_POINT
-    return PlanePoint(value, ExtendedRational(1, value.den))
+    # gcd(1, q) = 1.
+    return PlanePoint(value, ExtendedRational._from_coprime(1, value.den))

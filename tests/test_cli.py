@@ -413,6 +413,26 @@ class TestInternalErrorExit:
         assert "clause (end indices): FAIL" in out
         assert err == "internal error: funnel theorem failed for [0;3,2]\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_an_edge_vertex_without_an_index_is_exit_4(self, extra, capsys, monkeypatch):
+        # Only the index map loses 1/3, so the report still names 1/3 on
+        # the right edge and prints its index as "?" (null in JSON).
+        f = diagram.funnel(ExtendedRational(2, 7))
+        third = ExtendedRational(1, 3)
+        corrupt = dataclasses.replace(f, indices={v: i for v, i in f.indices.items() if v != third})
+        monkeypatch.setattr(diagram, "funnel", lambda alpha: corrupt)
+        assert run(["funnel", "2/7", *extra]) == 4
+        out, err = out_of(capsys)
+        if extra:
+            assert json.loads(out)["indices"] == {"0": 3, "1/4": 1, "1/3": None, "1/2": 1, "1": 1}
+            assert "clause (end indices): FAIL" in err
+            assert err.endswith("\ninternal error: funnel theorem failed for [0;3,2]\n")
+        else:
+            assert "indices:    0:3 1/4:1 1/3:? 1/2:1 1:1\n" in out
+            assert "clause (end indices): FAIL" in out
+            assert err == "internal error: funnel theorem failed for [0;3,2]\n"
+        assert "Traceback" not in out + err
+
 
 class TestFunnelBuiltOnce:
     @pytest.mark.parametrize("extra", [[], ["--json"], ["--svg", "F.svg"]], ids=["text", "json", "svg"])

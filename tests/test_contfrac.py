@@ -72,6 +72,17 @@ class TestInputChecks:
         with pytest.raises(DomainError):
             evaluate(())
 
+    @pytest.mark.parametrize("terms", [(), (1, 2.5), (1.0,), (0, 3, "2"), (0, None)])
+    def test_bare_term_lists_get_the_same_checks(self, terms):
+        # evaluate and convergents build their values without a gcd, so a
+        # bare list is checked like ContinuedFraction's terms.
+        with pytest.raises(DomainError):
+            CF(terms)
+        with pytest.raises(DomainError):
+            evaluate(terms)
+        with pytest.raises(DomainError):
+            convergents(terms)
+
 
 class TestStandardExpansion:
     def test_fig2_captions(self):

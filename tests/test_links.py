@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from sternbrocot import (
+    CanonicalForm,
     ContinuedFraction,
     DomainError,
     ExtendedRational,
@@ -137,6 +138,13 @@ class TestCanonicalFraction:
 
     def test_mirror_input_collapses_to_the_same_class(self):
         assert canonical_fraction(R(-24, 103)).fraction == R(24, 103)
+
+    def test_canonical_form_is_a_named_pair(self):
+        form = CanonicalForm(R(2, 7), CF((0, 3, 2)))
+        assert (form.fraction, form.sequence) == (R(2, 7), CF((0, 3, 2)))
+        assert form == canonical_fraction(R(5, 7)) == (R(2, 7), CF((0, 3, 2)))
+        fraction, sequence = canonical_fraction(R(5, 7))
+        assert fraction == R(2, 7) and sequence == CF((0, 3, 2))
 
     def test_idempotent_invariant_and_low_first_term_up_to_q_50(self):
         half = Fraction(1, 2)

@@ -145,6 +145,29 @@ class TestPlanePoint:
         assert INFINITE_POINT.reflected() is INFINITE_POINT
         assert str(INFINITE_POINT) == "oo"
 
+    def test_equality_hash_and_repr_are_the_former_dataclass_ones(self):
+        pt = PlanePoint(R(-2, 3), R(1, 3))
+        assert pt == PlanePoint(R(-4, 6), R(1, 3)) == vertex_point(R(-2, 3))
+        assert pt != PlanePoint(R(-2, 3), R(-1, 3)) and pt != INFINITE_POINT
+        assert pt != (R(-2, 3), R(1, 3))
+        assert hash(pt) == hash((R(-2, 3), R(1, 3)))
+        assert hash(INFINITE_POINT) == hash((None, None))
+        assert len({pt, vertex_point(R(-2, 3)), INFINITE_POINT}) == 2
+        assert repr(pt) == "PlanePoint(x=ExtendedRational(-2, 3), y=ExtendedRational(1, 3))"
+        assert repr(INFINITE_POINT) == "PlanePoint(x=None, y=None)"
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_assignment_and_deletion_raise_and_keep_the_hash(self, name):
+        pt = PlanePoint(R(5, 3), R(1, 3))
+        h = hash(pt)
+        with pytest.raises(AttributeError):
+            setattr(pt, name, R(1))
+        with pytest.raises(AttributeError):
+            delattr(pt, name)
+        with pytest.raises(AttributeError):
+            pt.other = 1
+        assert (pt.x, pt.y) == (R(5, 3), R(1, 3)) and hash(pt) == h
+
 
 class TestArithmeticAndOrder:
     def test_parse_roundtrip(self):
