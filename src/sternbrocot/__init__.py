@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "diagram": (
         "Diagram", "Funnel", "FunnelTheoremReport", "build_diagram", "funnel",
-        "verify_funnel_theorem", "vertex_index",
+        "verify_funnel_theorem",
     ),
     "errors": ("DegenerateFunnelError", "DomainError", "InvariantViolation", "ParseError"),
     "figures": ("FunnelOverlay", "LineOverlay", "PointOverlay", "render_svg"),

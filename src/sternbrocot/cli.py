@@ -13,7 +13,7 @@ so exits 2 and 3 leave stdout empty, apart from what a failed stdout
 write got through; exit 4 keeps the funnel report that names the failed
 clause.
 
-Three limits keep every run bounded and end in those codes.  Integers pass
+Four limits keep every run bounded and end in those codes.  Integers pass
 between text and int only up to Python's int/text digit limit
 (sys.get_int_max_str_digits(), 4300 digits by default; the guard against
 quadratic conversions stays on): a longer input integer is a parse error
@@ -220,8 +220,8 @@ def _cmd_funnel(args) -> str:
     if args.json or args.svg:
         print("\n".join(clauses), file=sys.stderr)
     if not report.all_passed:
-        print(out)  # the report names the failed clause, so exit 4 keeps it
-        raise InvariantViolation(f"funnel theorem failed for {f.expansion}")
+        # The report names the failed clause, so exit 4 keeps it.
+        raise InvariantViolation(f"funnel theorem failed for {f.expansion}", stdout=out)
     return out
 
 
@@ -406,6 +406,20 @@ def _merge_window_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _write_stdout(out: str) -> bool:
+    """Print out; if the write fails, say so on stderr and return False."""
+    try:
+        print(out, flush=True)
+    except OSError as exc:
+        # Send what is still buffered to os.devnull, or the exit flush fails again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
@@ -420,16 +434,11 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InvariantViolation as exc:
+        if exc.stdout is not None:
+            _write_stdout(exc.stdout)
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    try:
-        print(out, flush=True)
-    except OSError as exc:
-        # Send what is still buffered to os.devnull, or the exit flush fails again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-        return 2
-    return 0
+    return 0 if _write_stdout(out) else 2
 
 
 def main() -> None:

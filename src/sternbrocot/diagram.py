@@ -151,6 +151,8 @@ class Funnel:
     left_edge / right_edge list the boundary vertices on each side of the
     ray in descending height; the bottom vertex (alpha itself) belongs to
     both boundary paths and is kept out of the lists and the index map.
+    indices maps each edge vertex v to its index, the number of funnel
+    edges at v that meet the defining ray; alpha has no entry.
     """
 
     alpha: ExtendedRational
@@ -226,20 +228,6 @@ def funnel(alpha: ExtendedRational) -> Funnel:
         right_edge=tuple(right),
         indices=MappingProxyType(dict(zip(left + right, left_count + right_count))),
     )
-
-
-def vertex_index(f: Funnel, v: ExtendedRational) -> int:
-    """Number of funnel edges at v meeting the defining ray.
-
-    The bottom vertex reports 0: its spokes reach the ray only at the
-    vertex itself.
-    """
-    if v == f.alpha:
-        return 0
-    try:
-        return f.indices[v]
-    except KeyError:
-        raise DomainError(f"{v} is not a vertex of the funnel of {f.alpha}") from None
 
 
 @dataclass(frozen=True)

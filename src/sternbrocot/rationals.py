@@ -106,19 +106,12 @@ class ExtendedRational:
     # -- comparisons -----------------------------------------------------
     # An int compares, hashes and orders as the integer value it names.
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExtendedRational):
-            return other
-        if isinstance(other, int):
-            return ExtendedRational(other)
-        return None
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        if isinstance(other, ExtendedRational):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, int):
+            return self.den == 1 and self.num == other
+        return NotImplemented
 
     def __hash__(self):
         # Integers compare equal to int, so they must hash like int too.
@@ -127,12 +120,13 @@ class ExtendedRational:
         return hash((self.num, self.den))
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == 0 or o.den == 0:
+        if not isinstance(other, ExtendedRational):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = ExtendedRational(other)
+        if self.den == 0 or other.den == 0:
             raise DomainError("1/0 is not ordered against other values")
-        return self.num * o.den < o.num * self.den
+        return self.num * other.den < other.num * self.den
 
     def __float__(self) -> float:
         if self.den == 0:

@@ -283,6 +283,45 @@ class TestUnwritableStdout:
         _, err = proc.communicate(timeout=60)
         self.check(proc.returncode, err, "Broken pipe")
 
+    # 1/3 is c_1 of 2/7 = [0;3,2]; without its index the funnel theorem fails.
+    DROP_ONE_THIRD = (
+        "import dataclasses, sys\n"
+        "from sternbrocot import ExtendedRational as R, cli, diagram\n"
+        "f = diagram.funnel(R(2, 7))\n"
+        "corrupt = dataclasses.replace(f, indices={v: i for v, i in f.indices.items() if v != R(1, 3)})\n"
+        "diagram.funnel = lambda alpha: corrupt\n"
+        "sys.exit(cli.run(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_a_failed_write_of_the_exit_4_report_still_exits_4(self, extra):
+        # The invariant bug outranks the failed write.
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-c", self.DROP_ONE_THIRD, "funnel", "2/7", *extra],
+                                  env=self.ENV, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        assert proc.returncode == 4
+        tail = ("error: cannot write stdout: No space left on device\n"
+                "internal error: funnel theorem failed for [0;3,2]\n")
+        if extra:  # the clause lines come first
+            assert proc.stderr.endswith("\n" + tail)
+        else:
+            assert proc.stderr == tail
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+    def test_a_failed_write_closes_the_devnull_descriptor(self, monkeypatch):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd on this system")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            before = len(os.listdir("/proc/self/fd"))
+            assert run(["eval", "[0;3,2]"]) == 2
+            assert len(os.listdir("/proc/self/fd")) == before
+
 
 class TestDigitLimit:
     """Integers longer than Python's int/text digit limit end in a one-line

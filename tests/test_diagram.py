@@ -18,7 +18,6 @@ from sternbrocot import (
     evaluate,
     funnel,
     verify_funnel_theorem,
-    vertex_index,
 )
 from sternbrocot import diagram
 from oracles import (
@@ -201,8 +200,8 @@ class TestFunnel:
         ]
         assert f.left_edge == (R(0), R(1, 4))
         assert f.right_edge == (R(1), R(1, 2), R(1, 3))
-        assert vertex_index(f, R(0)) == 3  # = a_1
-        assert vertex_index(f, R(1, 3)) == 2  # = a_n
+        assert f.indices[R(0)] == 3  # = a_1
+        assert f.indices[R(1, 3)] == 2  # = a_n
 
     def test_funnel_of_minus_4_7_mirrors_2_7(self):
         f = funnel(R(-4, 7))
@@ -212,8 +211,8 @@ class TestFunnel:
         # reflection x -> -x - 1/7-ish is not a diagram symmetry; the mirror
         # pairing is combinatorial: index multisets agree side-swapped.
         assert sorted(f.indices.values()) == sorted(g.indices.values())
-        assert vertex_index(f, R(-1)) == 2  # = a_1
-        assert vertex_index(f, R(-1, 2)) == 3  # = a_n
+        assert f.indices[R(-1)] == 2  # = a_1
+        assert f.indices[R(-1, 2)] == 3  # = a_n
 
     def test_funnel_of_one_half_is_the_single_crossing_triangle(self):
         f = funnel(R(1, 2))
@@ -228,12 +227,6 @@ class TestFunnel:
     def test_infinite_alpha_rejected(self):
         with pytest.raises(DomainError):
             funnel(R(1, 0))
-
-    def test_tip_reports_index_zero_and_unknown_vertex_rejected(self):
-        f = funnel(R(2, 7))
-        assert vertex_index(f, R(2, 7)) == 0
-        with pytest.raises(DomainError):
-            vertex_index(f, R(3, 5))
 
     def test_geometric_oracle_window_50_for_one_half(self):
         d = build_diagram(R(0), R(1), 50)
@@ -266,9 +259,9 @@ class TestVertexIndexExamples:
         seq = CF((0, 2, 3, 4))
         f = funnel(evaluate(seq))
         c = convergents(f.expansion)
-        assert vertex_index(f, c[0]) == 2        # a_1
-        assert vertex_index(f, c[1]) == 1 + 3    # 1 + a_2 for 0 < j < n-1
-        assert vertex_index(f, c[2]) == 4        # a_n
+        assert f.indices[c[0]] == 2        # a_1
+        assert f.indices[c[1]] == 1 + 3    # 1 + a_2 for 0 < j < n-1
+        assert f.indices[c[2]] == 4        # a_n
 
 
 class TestFunnelTheorem:

@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     "canonical_fraction", "classify_range", "continuant_product", "convergents", "evaluate",
     "funnel", "is_farey_pair", "line_family", "link_family", "mediant",
     "mobius_apply", "plat_diagram", "plat_fraction", "render_svg", "schubert_equivalent",
-    "standard_expansion", "verify_funnel_theorem", "vertex_index", "vertex_point",
+    "standard_expansion", "verify_funnel_theorem", "vertex_point",
 }
 
 

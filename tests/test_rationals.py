@@ -215,6 +215,20 @@ class TestArithmeticAndOrder:
             assert {x.num: "int"}[x] == "int"
         assert hash(x) == hash(R(p * 3, q * 3))
 
+    # Cases the Hypothesis test above does not draw: bools, floats, 1/0 and
+    # an unreduced integer against an int.
+    @pytest.mark.parametrize("compare, expected", [
+        (lambda: R(1) == True, True),  # noqa: E712
+        (lambda: R(1, 2) == 0.5, False),
+        (lambda: INFINITY == 1, False),
+        (lambda: INFINITY == INFINITY, True),
+        (lambda: R(4, 2) != 2, False),
+        (lambda: True < R(3, 2), True),
+    ], ids=["value-eq-bool", "value-eq-float", "infinity-eq-int", "infinity-eq-infinity",
+            "unreduced-ne-int", "bool-lt-value"])
+    def test_comparisons_against_other_types(self, compare, expected):
+        assert compare() is expected
+
     def test_integer_and_int_share_set_and_dict_slots(self):
         assert {R(2), 2} == {2}
         assert R(-1) in {-1} and R(0) in {0}
