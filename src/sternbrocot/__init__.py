@@ -25,15 +25,15 @@ _EXPORTS = {
     ),
     "errors": ("DegenerateFunnelError", "DomainError", "InvariantViolation", "ParseError"),
     "figures": ("FunnelOverlay", "LineOverlay", "PointOverlay", "render_svg"),
-    "lines": ("ExtendedLine", "LineFamily", "Side", "line_family"),
+    "lines": (
+        "ExtendedLine", "INFINITE_POINT", "LineFamily", "PlanePoint", "Side", "line_family",
+        "vertex_point",
+    ),
     "links": (
         "CanonicalForm", "LinkFamilyEntry", "PlatDiagram", "canonical_fraction",
         "link_family", "plat_diagram", "plat_fraction", "schubert_equivalent",
     ),
-    "rationals": (
-        "INFINITE_POINT", "INFINITY", "ExtendedRational", "PlanePoint", "is_farey_pair",
-        "mediant", "vertex_point",
-    ),
+    "rationals": ("INFINITY", "ExtendedRational", "is_farey_pair", "mediant"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -102,7 +102,7 @@ def _family_from_hole(text: str) -> LineFamily:
     # standard-valid placeholder so a concrete base sequence exists.  The
     # placeholder leaves standardness unchanged, so a refusal names the input.
     terms[hole] = 2 if hole == len(terms) - 1 else 1
-    seq = ContinuedFraction(tuple(terms))
+    seq = ContinuedFraction(terms)
     if not seq.is_standard:
         terms[hole] = None
         raise DomainError(f"{contfrac.format_terms(terms)} is not standard")
@@ -184,8 +184,11 @@ def _cmd_funnel(args) -> str:
     # Increasing order: left < alpha < right, left ascends, right descends.
     indexed = (*f.left_edge, *reversed(f.right_edge))
     # Every strip vertex is one object, on an edge or alpha itself, the
-    # bottom vertex; each is named once.
-    name = {id(v): str(v) for v in (*indexed, f.alpha)}
+    # bottom vertex; each is named once.  A triangle corner that is not one
+    # of these objects, though it may equal one, is named afresh.
+    names = {id(v): str(v) for v in (*indexed, f.alpha)}
+    corners = [(names.get(id(a)) or str(a), names.get(id(m)) or str(m), names.get(id(b)) or str(b))
+               for a, m, b in f.triangles]
     clauses = [f"clause ({c.name}): {'pass' if c.passed else 'FAIL'} [{c.detail}]"
                for c in report.clauses]
     # An edge vertex missing from the index map prints as "?" (null in
@@ -196,8 +199,8 @@ def _cmd_funnel(args) -> str:
             {
                 "base": str(f.alpha),
                 "terms": list(f.expansion.terms),
-                "triangles": [[name[id(a)], name[id(m)], name[id(b)]] for a, m, b in f.triangles],
-                "indices": {name[id(v)]: f.indices.get(v) for v in indexed},
+                "triangles": corners,
+                "indices": {names[id(v)]: f.indices.get(v) for v in indexed},
             }
         )
     elif args.svg:
@@ -211,10 +214,10 @@ def _cmd_funnel(args) -> str:
         out = "\n".join([
             f"funnel of {f.alpha} = {f.expansion}",
             "triangles (top to bottom):",
-            *[f"  {name[id(a)]} {name[id(m)]} {name[id(b)]}" for a, m, b in f.triangles],
-            "left edge:  " + " ".join([name[id(v)] for v in f.left_edge]),
-            "right edge: " + " ".join([name[id(v)] for v in f.right_edge]),
-            "indices:    " + " ".join([f"{name[id(v)]}:{f.indices.get(v, '?')}" for v in indexed]),
+            *[f"  {a} {m} {b}" for a, m, b in corners],
+            "left edge:  " + " ".join([names[id(v)] for v in f.left_edge]),
+            "right edge: " + " ".join([names[id(v)] for v in f.right_edge]),
+            "indices:    " + " ".join([f"{names[id(v)]}:{f.indices.get(v, '?')}" for v in indexed]),
             *clauses,
         ])
     if args.json or args.svg:

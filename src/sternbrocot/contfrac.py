@@ -28,9 +28,9 @@ empty.  Every term list from outside goes through ContinuedFraction(...).
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError
@@ -42,15 +42,18 @@ _TERM_RE = re.compile(r"\A[+-]?\d+\Z")
 
 @dataclass(frozen=True)
 class ContinuedFraction:
-    """Integer term sequence (a0, ..., an); terms may be arbitrary integers."""
+    """Integer term sequence (a0, ..., an), kept as a tuple of ints; terms may be any integers."""
 
     terms: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.terms:
+        try:
+            terms = tuple(map(operator.index, self.terms))
+        except TypeError:
+            raise DomainError("terms must be integers") from None
+        if not terms:
             raise DomainError("continued fractions need at least one term")
-        if not all(map(isinstance, self.terms, repeat(int))):
-            raise DomainError("terms must be integers")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def _from_terms(cls, terms: tuple[int, ...]) -> "ContinuedFraction":
@@ -77,7 +80,7 @@ class ContinuedFraction:
     def parse(cls, text: str) -> "ContinuedFraction":
         terms, hole = parse_terms(text, allow_hole=False)
         assert hole is None
-        return cls(tuple(terms))
+        return cls(terms)
 
     def __str__(self) -> str:
         return format_terms(self.terms)
@@ -187,7 +190,7 @@ def _as_terms(seq: ContinuedFraction | Sequence[int]) -> tuple[int, ...]:
     if isinstance(seq, ContinuedFraction):
         return seq.terms
     # evaluate and convergents skip the gcd, so a bare sequence is checked too.
-    return ContinuedFraction(tuple(seq)).terms
+    return ContinuedFraction(seq).terms
 
 
 def evaluate(seq: ContinuedFraction | Sequence[int]) -> ExtendedRational:

@@ -1,6 +1,10 @@
 """Line families: substituting an integer m into one slot of a standard
 continued fraction sweeps out vertices that sit on two mirror-image lines.
 
+The vertices live in the plane: vertex_point sends a finite p/q to the
+point (p/q, 1/q) with exact coordinates, and 1/0 to the added point of
+R^2 union {oo}, INFINITE_POINT.
+
 For a standard (a0, ..., an) and a slot i in {1, ..., n}, write the
 a0-free prefix product (0 1; 1 a1)...(0 1; 1 a_{i-1}) as (r t; s u) and
 let (v, w) be the column (0 1; 1 a_{i+1})...(0 1; 1 an) (0, 1)^T.  Then
@@ -28,13 +32,67 @@ from dataclasses import dataclass
 
 from .contfrac import ContinuedFraction, IntMat2, continuant_product
 from .errors import DomainError, InvariantViolation
-from .rationals import ExtendedRational, PlanePoint, vertex_point
+from .rationals import ExtendedRational
 
 
 class Side(enum.Enum):
     PLUS = "PLUS"
     MINUS = "MINUS"
     INFINITE = "INFINITE"
+
+
+@dataclass(frozen=True, init=False)
+class PlanePoint:
+    """Point of R^2 union {oo} with exact rational coordinates.
+
+    The infinite point carries no coordinates; finite points store exact
+    rationals.  Floats appear only when rendering.
+    """
+
+    __slots__ = ("x", "y")
+    x: ExtendedRational | None
+    y: ExtendedRational | None
+
+    def __init__(self, x: ExtendedRational | None, y: ExtendedRational | None):
+        if (x is None) != (y is None):
+            raise DomainError("a point has both coordinates or neither")
+        if x is not None and (x.is_infinite or y.is_infinite):
+            raise DomainError("finite points need finite coordinates")
+        _set_x(self, x)
+        _set_y(self, y)
+
+    @property
+    def at_infinity(self) -> bool:
+        return self.x is None
+
+    def reflected(self) -> "PlanePoint":
+        """Mirror image across the x-axis (fixes the infinite point)."""
+        if self.at_infinity:
+            return self
+        return PlanePoint(self.x, ExtendedRational(-self.y.num, self.y.den))
+
+    def __str__(self) -> str:
+        if self.at_infinity:
+            return "oo"
+        return f"({self.x}, {self.y})"
+
+
+# The frozen __setattr__ refuses every write, so __init__ stores through the slots.
+_set_x = PlanePoint.x.__set__
+_set_y = PlanePoint.y.__set__
+
+INFINITE_POINT = PlanePoint(None, None)
+
+
+def vertex_point(value: ExtendedRational) -> PlanePoint:
+    """Embed p/q as the diagram vertex (p/q, 1/q); 1/0 maps to the infinite point.
+
+    Injective on finite rationals, with exact y-coordinate 1/q.
+    """
+    if value.is_infinite:
+        return INFINITE_POINT
+    # gcd(1, q) = 1.
+    return PlanePoint(value, ExtendedRational._from_coprime(1, value.den))
 
 
 @dataclass(frozen=True)
@@ -122,7 +180,7 @@ class LineFamily:
         """The base sequence with the slot replaced by m."""
         terms = list(self.base.terms)
         terms[self.slot] = m
-        return ContinuedFraction(tuple(terms))
+        return ContinuedFraction(terms)
 
     def value(self, m: int) -> ExtendedRational:
         """The substituted continued fraction's value, infinity included."""

@@ -1,15 +1,12 @@
-"""Exact extended-rational values, their order, the Farey predicates and the
-plane embedding of rationals.
+"""Exact extended-rational values, their order and the Farey predicates.
 
 Values are fractions p/q kept in lowest terms with q >= 0.  There is a
 single point at infinity, represented as 1/0 (so -1/0 normalizes to 1/0),
-and 0 is stored as 0/1.  The vertex map sends a finite p/q to the plane
-point (p/q, 1/q); the infinite value maps to the added point of
-R^2 union {oo}.
+and 0 is stored as 0/1.
 
 Everything here is immutable after construction and safe to share between
-threads; ExtendedRational and PlanePoint enforce it, so assigning or
-deleting an attribute raises AttributeError and a hash never changes.  There are no
+threads; ExtendedRational enforces it, so assigning or deleting an
+attribute raises AttributeError and a hash never changes.  There are no
 arithmetic operators: callers compute with the integers num and den and
 build a new value from the result.  Floating point never appears;
 rendering code converts to floats at the last moment.
@@ -46,19 +43,14 @@ class ExtendedRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        if den == 0:
-            if num == 0:
-                raise DomainError("0/0 is not an extended rational")
-            num = 1  # the unique unsigned infinity
-        else:
-            if den < 0:
-                num, den = -num, -den
-            g = math.gcd(num, den)
-            if g > 1:
-                num //= g
-                den //= g
-        _set_num(self, num)
-        _set_den(self, den)
+        g = math.gcd(num, den)
+        if g == 0:
+            raise DomainError("0/0 is not an extended rational")
+        # A negative divisor makes den positive, and (p, 0) the unsigned 1/0.
+        if den < 0 or den == 0 and num < 0:
+            g = -g
+        _set_num(self, num // g)
+        _set_den(self, den // g)
 
     @classmethod
     def _from_coprime(cls, num: int, den: int) -> "ExtendedRational":
@@ -188,70 +180,3 @@ def mediant(a: ExtendedRational, b: ExtendedRational) -> ExtendedRational:
     # (p+r)s - (q+s)r = ps - qr = +-1, so the mediant is coprime.
     return ExtendedRational._from_coprime(a.num + b.num, a.den + b.den)
 
-
-class PlanePoint:
-    """Point of R^2 union {oo} with exact rational coordinates.
-
-    The infinite point carries no coordinates; finite points store exact
-    rationals.  Floats appear only when rendering.  Immutable like
-    ExtendedRational: assigning or deleting x or y raises AttributeError.
-    """
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: ExtendedRational | None, y: ExtendedRational | None):
-        if (x is None) != (y is None):
-            raise DomainError("a point has both coordinates or neither")
-        if x is not None and (x.is_infinite or y.is_infinite):
-            raise DomainError("finite points need finite coordinates")
-        _set_x(self, x)
-        _set_y(self, y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PlanePoint is immutable; cannot set {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PlanePoint is immutable; cannot delete {name}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) == (other.x, other.y)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __repr__(self) -> str:
-        return f"PlanePoint(x={self.x!r}, y={self.y!r})"
-
-    @property
-    def at_infinity(self) -> bool:
-        return self.x is None
-
-    def reflected(self) -> "PlanePoint":
-        """Mirror image across the x-axis (fixes the infinite point)."""
-        if self.at_infinity:
-            return self
-        return PlanePoint(self.x, ExtendedRational(-self.y.num, self.y.den))
-
-    def __str__(self) -> str:
-        if self.at_infinity:
-            return "oo"
-        return f"({self.x}, {self.y})"
-
-
-_set_x = PlanePoint.x.__set__
-_set_y = PlanePoint.y.__set__
-
-INFINITE_POINT = PlanePoint(None, None)
-
-
-def vertex_point(value: ExtendedRational) -> PlanePoint:
-    """Embed p/q as the diagram vertex (p/q, 1/q); 1/0 maps to the infinite point.
-
-    Injective on finite rationals, with exact y-coordinate 1/q.
-    """
-    if value.is_infinite:
-        return INFINITE_POINT
-    # gcd(1, q) = 1.
-    return PlanePoint(value, ExtendedRational._from_coprime(1, value.den))

@@ -411,6 +411,28 @@ class TestFunnelIndexOrder:
         assert [item.rsplit(":", 1)[0] for item in line.split()[1:]] == keys
 
 
+class TestFunnelCornerCopies:
+    """The report names a triangle corner by value: a funnel whose triangles
+    hold equal copies of its vertices, not the vertex objects themselves,
+    prints the same report."""
+
+    @pytest.mark.parametrize("argv", [["funnel", "2/7"], ["funnel", "2/7", "--json"],
+                                      ["funnel", "13/30"]], ids=" ".join)
+    def test_copied_corners_print_the_same_report(self, argv, capsys, monkeypatch):
+        assert run(argv) == 0
+        expected = out_of(capsys)
+        build = diagram.funnel
+
+        def copied(alpha):
+            f = build(alpha)
+            triangles = tuple(tuple(ExtendedRational(v.num, v.den) for v in t) for t in f.triangles)
+            return dataclasses.replace(f, triangles=triangles)
+
+        monkeypatch.setattr(diagram, "funnel", copied)
+        assert run(argv) == 0
+        assert out_of(capsys) == expected
+
+
 class TestInternalErrorExit:
     """A failed theorem clause is an implementation bug: exit 4, the report
     still printed with the clause as FAIL, and one `internal error:` line on

@@ -83,6 +83,22 @@ class TestInputChecks:
         with pytest.raises(DomainError):
             convergents(terms)
 
+    def test_a_term_list_is_copied_to_a_tuple(self):
+        body = [0, 3, 2]
+        c = CF(body)
+        assert c.terms == (0, 3, 2) and type(c.terms) is tuple
+        assert c == CF((0, 3, 2)) and hash(c) == hash(CF((0, 3, 2)))
+        assert hash(line_family(c, 1)) == hash(line_family(CF((0, 3, 2)), 1))
+        body.append(5)
+        assert evaluate(c) == R(2, 7)
+        with pytest.raises(AttributeError):
+            c.terms.append(5)
+
+    def test_bool_terms_are_stored_as_plain_ints(self):
+        c = CF((True, 2))
+        assert str(c) == "[1;2]" and all(type(t) is int for t in c.terms)
+        assert c == CF((1, 2))
+
 
 class TestStandardExpansion:
     def test_fig2_captions(self):

@@ -68,3 +68,13 @@ def test_a_submodule_loads_on_first_use_of_its_name(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == ["True", "False"], proc.stderr
+
+
+def test_rationals_loads_neither_dataclasses_nor_lines(tmp_path):
+    # The plane points and their dataclass live in lines; rationals stays free of both.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = ("import sys, sternbrocot.rationals;"
+              " print('dataclasses' in sys.modules, 'sternbrocot.lines' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["False", "False"], proc.stderr

@@ -42,6 +42,15 @@ class TestMakeRational:
     def test_zero_normalizes_to_0_over_1(self):
         assert (R(0, -5).num, R(0, -5).den) == (0, 1)
 
+    @pytest.mark.parametrize("num, den, text", [
+        (True, 1, "1"), (True, 2, "1/2"), (2, True, "2"), (False, 3, "0"), (True, 0, "1/0"),
+    ])
+    def test_bools_are_stored_as_plain_ints(self, num, den, text):
+        x = R(num, den)
+        assert type(x.num) is int and type(x.den) is int
+        assert str(x) == text and repr(x) == f"ExtendedRational({x.num}, {x.den})"
+        assert "True" not in repr(x) and "False" not in repr(x)
+
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(-50, 50))
     def test_normalization_idempotent_under_scaling(self, p, q, k):
         if k == 0:
