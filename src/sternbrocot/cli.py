@@ -174,7 +174,7 @@ def _cmd_funnel(args) -> str:
     from . import diagram
 
     alpha = ExtendedRational.parse(args.rational)
-    if args.svg:
+    if args.svg is not None:
         _check_svg_density(max(args.max_denom, alpha.den))
     if not alpha.is_infinite:  # diagram.funnel words the refusal of 1/0
         strip = sum(contfrac.standard_expansion(alpha).terms[1:]) - 1
@@ -203,7 +203,7 @@ def _cmd_funnel(args) -> str:
                 "indices": {names[id(v)]: f.indices.get(v) for v in indexed},
             }
         )
-    elif args.svg:
+    elif args.svg is not None:
         from . import figures
 
         a0 = f.expansion.terms[0]
@@ -220,7 +220,7 @@ def _cmd_funnel(args) -> str:
             "indices:    " + " ".join([f"{names[id(v)]}:{f.indices.get(v, '?')}" for v in indexed]),
             *clauses,
         ])
-    if args.json or args.svg:
+    if args.json or args.svg is not None:
         print("\n".join(clauses), file=sys.stderr)
     if not report.all_passed:
         # The report names the failed clause, so exit 4 keeps it.
@@ -245,7 +245,7 @@ def _cmd_lines(args) -> str:
     root = fam.denominator_root()
     members = range(lo, hi + 1)
 
-    if args.svg:
+    if args.svg is not None:
         from . import figures
 
         overlays: list[Overlay] = [

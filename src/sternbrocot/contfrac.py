@@ -40,7 +40,7 @@ _CF_RE = re.compile(r"\A\s*\[\s*([+-]?\d+)\s*(?:;\s*(.*?)\s*)?\]\s*\Z")
 _TERM_RE = re.compile(r"\A[+-]?\d+\Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # checks its terms and copies them to a tuple
 class ContinuedFraction:
     """Integer term sequence (a0, ..., an), kept as a tuple of ints; terms may be any integers."""
 
@@ -253,8 +253,7 @@ class RangeBracket(enum.Enum):
     HIGH = "HIGH"  # [1/2, 1], exactly when a1 = 1
 
 
-@dataclass(frozen=True)
-class RangeReport:
+class RangeReport(NamedTuple):
     bracket: RangeBracket
     value: ExtendedRational
     attains_one: bool

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .contfrac import ContinuedFraction, convergents, evaluate, standard_expansion
 from .errors import DegenerateFunnelError, DomainError
@@ -58,8 +58,7 @@ Triangle = tuple[ExtendedRational, ExtendedRational, ExtendedRational]
 Edge = tuple[ExtendedRational, ExtendedRational]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     """All vertices p/q with lo <= p/q <= hi and q <= max_den, plus their
     Farey edges and the Farey triangles contained in the window."""
 
@@ -144,7 +143,7 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # leaves indices out of == and hash
 class Funnel:
     """Triangle strip over a non-integer rational, top to bottom.
 
@@ -230,15 +229,13 @@ def funnel(alpha: ExtendedRational) -> Funnel:
     )
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class FunnelTheoremReport:
+class FunnelTheoremReport(NamedTuple):
     """Pass/fail record for the three funnel/continued-fraction clauses:
 
     (1) even-index convergents lie on the left edge, odd on the right;
@@ -261,10 +258,7 @@ class FunnelTheoremReport:
         return {
             "sequence": str(self.sequence),
             "alpha": str(self.alpha),
-            "clauses": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.clauses
-            ],
+            "clauses": [c._asdict() for c in self.clauses],
         }
 
 

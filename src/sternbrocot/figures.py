@@ -18,8 +18,7 @@ one choice left to callers is the colour of a point overlay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 from .rationals import ExtendedRational
@@ -32,13 +31,11 @@ _WIDTH = 720
 _MARGIN = 24
 
 
-@dataclass(frozen=True)
-class LineOverlay:
+class LineOverlay(NamedTuple):
     line: ExtendedLine
 
 
-@dataclass(frozen=True)
-class PointOverlay:
+class PointOverlay(NamedTuple):
     """The diagram vertices (p/q, 1/q) of the values p/q, marked in one
     colour; 1/0 has no vertex and is skipped."""
 
@@ -46,8 +43,7 @@ class PointOverlay:
     color: str = "#e0218a"
 
 
-@dataclass(frozen=True)
-class FunnelOverlay:
+class FunnelOverlay(NamedTuple):
     funnel: Funnel
 
 

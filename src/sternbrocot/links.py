@@ -41,15 +41,13 @@ class Hand(enum.Enum):
     LEFT = "LEFT"
 
 
-@dataclass(frozen=True)
-class TwistRegion:
+class TwistRegion(NamedTuple):
     count: int                # number of crossings, |a_j|
     row: Row
     hand: Hand | None         # None when the region is empty (a_j = 0)
 
 
-@dataclass(frozen=True)
-class PlatDiagram:
+class PlatDiagram(NamedTuple):
     """Combinatorial twist data only; no planar embedding coordinates."""
 
     terms: tuple[int, ...]
@@ -74,7 +72,7 @@ class PlatDiagram:
 
 def plat_diagram(terms: Sequence[int]) -> PlatDiagram:
     """Twist regions of D(a1, ..., an)."""
-    terms = tuple(terms)
+    terms = ContinuedFraction((0, *terms)).terms[1:]
     if not terms:
         raise DomainError("a plat diagram needs at least one twist region")
     regions = []
@@ -160,7 +158,7 @@ def canonical_fraction(x: ExtendedRational) -> CanonicalForm:
                          ContinuedFraction._from_terms((0, *terms)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # perfbench/selfcheck.py calls dataclasses.replace on it
 class LinkFamilyEntry:
     m: int
     value: ExtendedRational

@@ -43,7 +43,10 @@ class ExtendedRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        g = math.gcd(num, den)
+        try:
+            g = math.gcd(num, den)
+        except TypeError:
+            raise DomainError("numerator and denominator must be integers") from None
         if g == 0:
             raise DomainError("0/0 is not an extended rational")
         # A negative divisor makes den positive, and (p, 0) the unsigned 1/0.

@@ -238,11 +238,11 @@ class TestUnwritableSvg:
         ["lines", "[0;3,_,4]", "--max-denom", "5", "--svg"],
     ], ids=lambda argv: argv[0])
     def test_missing_directory_is_exit_2_with_one_line(self, argv, tmp_path, capsys):
-        target = tmp_path / "missing" / "out.svg"
-        assert run(argv + [str(target)]) == 2
-        out, err = out_of(capsys)
-        assert not out.startswith("wrote") and "->" not in out
-        assert err == f"error: cannot write {target}: No such file or directory\n"
+        for target in (str(tmp_path / "missing" / "out.svg"), ""):
+            assert run(argv + [target]) == 2
+            out, err = out_of(capsys)
+            assert not out.startswith("wrote") and "->" not in out
+            assert err == f"error: cannot write {target}: No such file or directory\n"
 
     def test_directory_as_target_is_exit_2(self, tmp_path, capsys):
         assert run(["diagram", "--window", "0..1", "--max-denom", "5", "--svg", str(tmp_path)]) == 2
@@ -445,7 +445,7 @@ class TestInternalErrorExit:
         def failing(f):
             report = verify(f)
             planted = diagram.ClauseResult("planted", False, "planted failure")
-            return dataclasses.replace(report, clauses=(*report.clauses, planted))
+            return report._replace(clauses=(*report.clauses, planted))
 
         monkeypatch.setattr(diagram, "verify_funnel_theorem", failing)
         assert run(["funnel", "2/7", *extra]) == 4

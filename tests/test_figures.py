@@ -123,8 +123,7 @@ class TestFormatOncePerVertex:
         own = {(v.num, v.den): v for v in d.vertices}
         shared_f = dataclasses.replace(f, triangles=tuple(
             tuple(own[v.num, v.den] for v in tri) for tri in f.triangles))
-        distinct_d = dataclasses.replace(
-            d,
+        distinct_d = d._replace(
             edges=tuple(tuple(map(self.copied, e)) for e in d.edges),
             triangles=tuple(tuple(map(self.copied, t)) for t in d.triangles),
         )

@@ -71,10 +71,12 @@ def test_a_submodule_loads_on_first_use_of_its_name(tmp_path):
 
 
 def test_rationals_loads_neither_dataclasses_nor_lines(tmp_path):
-    # The plane points and their dataclass live in lines; rationals stays free of both.
+    # The plane points and their dataclass live in lines; rationals and the
+    # figures' NamedTuple overlays stay free of both.
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    script = ("import sys, sternbrocot.rationals;"
-              " print('dataclasses' in sys.modules, 'sternbrocot.lines' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.stdout.split() == ["False", "False"], proc.stderr
+    for module in ("rationals", "figures"):
+        script = (f"import sys, sternbrocot.{module};"
+                  " print('dataclasses' in sys.modules, 'sternbrocot.lines' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.split() == ["False", "False"], (module, proc.stderr)

@@ -47,6 +47,13 @@ class TestPlatDiagram:
         plat = plat_diagram((2, 0, 3))
         assert plat.regions[1].count == 0 and plat.regions[1].hand is None
 
+    def test_terms_are_checked_as_integers(self):
+        # As plat_fraction and classify_range do.
+        with pytest.raises(DomainError, match="terms must be integers"):
+            plat_diagram((2, 1.5))
+        plat = plat_diagram((True, 2))
+        assert all(type(t) is int for t in plat.terms) and plat == plat_diagram((1, 2))
+
     def test_text_art_is_two_rows(self):
         art = plat_diagram((4, 3, 2, 3)).text_art()
         assert art.splitlines()[0].startswith("top")
@@ -67,6 +74,8 @@ class TestPlatFraction:
             plat_fraction(())
         with pytest.raises(DomainError):
             plat_diagram(())
+        with pytest.raises(DomainError):
+            plat_diagram(iter([]))
 
     def test_mirror_negates_the_fraction(self):
         rng = random.Random(41)

@@ -51,6 +51,11 @@ class TestMakeRational:
         assert str(x) == text and repr(x) == f"ExtendedRational({x.num}, {x.den})"
         assert "True" not in repr(x) and "False" not in repr(x)
 
+    @pytest.mark.parametrize("args", [(1.5,), (1, "2"), (2.5, 0), (1, 2.0)])
+    def test_non_integers_are_a_domain_error(self, args):
+        with pytest.raises(DomainError, match="numerator and denominator must be integers"):
+            R(*args)
+
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(-50, 50))
     def test_normalization_idempotent_under_scaling(self, p, q, k):
         if k == 0:
