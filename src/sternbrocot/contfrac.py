@@ -30,37 +30,35 @@ from __future__ import annotations
 import enum
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError
-from .rationals import ExtendedRational, int_text, parse_int
+from .rationals import ExtendedRational, _Frozen, int_text, parse_int
 
 _CF_RE = re.compile(r"\A\s*\[\s*([+-]?\d+)\s*(?:;\s*(.*?)\s*)?\]\s*\Z")
 _TERM_RE = re.compile(r"\A[+-]?\d+\Z")
 
 
-@dataclass(frozen=True)  # checks its terms and copies them to a tuple
-class ContinuedFraction:
+class ContinuedFraction(_Frozen):
     """Integer term sequence (a0, ..., an), kept as a tuple of ints; terms may be any integers."""
 
-    terms: tuple[int, ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: Iterable[int]):
         try:
-            terms = tuple(map(operator.index, self.terms))
+            terms = tuple(map(operator.index, terms))
         except TypeError:
             raise DomainError("terms must be integers") from None
         if not terms:
             raise DomainError("continued fractions need at least one term")
-        object.__setattr__(self, "terms", terms)
+        _set_terms(self, terms)
 
     @classmethod
     def _from_terms(cls, terms: tuple[int, ...]) -> "ContinuedFraction":
         """The expansion of a nonempty tuple of ints, built without the
         checks; the caller keeps that precondition."""
         self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
+        _set_terms(self, terms)
         return self
 
     @property
@@ -87,6 +85,10 @@ class ContinuedFraction:
 
     def __len__(self):
         return len(self.terms)
+
+
+# Built for each evaluated term list: storing through the slot is faster than _store.
+_set_terms = ContinuedFraction.terms.__set__
 
 
 def format_terms(terms: Sequence[int | None]) -> str:

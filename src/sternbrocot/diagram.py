@@ -46,13 +46,12 @@ determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .contfrac import ContinuedFraction, convergents, evaluate, standard_expansion
 from .errors import DegenerateFunnelError, DomainError
-from .rationals import ExtendedRational
+from .rationals import ExtendedRational, _Frozen
 
 Triangle = tuple[ExtendedRational, ExtendedRational, ExtendedRational]
 Edge = tuple[ExtendedRational, ExtendedRational]
@@ -143,23 +142,24 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
     )
 
 
-@dataclass(frozen=True)  # leaves indices out of == and hash
-class Funnel:
+class Funnel(_Frozen):
     """Triangle strip over a non-integer rational, top to bottom.
 
     left_edge / right_edge list the boundary vertices on each side of the
     ray in descending height; the bottom vertex (alpha itself) belongs to
     both boundary paths and is kept out of the lists and the index map.
     indices maps each edge vertex v to its index, the number of funnel
-    edges at v that meet the defining ray; alpha has no entry.
+    edges at v that meet the defining ray; alpha has no entry.  Funnels
+    compare and hash without their indices.
     """
 
-    alpha: ExtendedRational
-    expansion: ContinuedFraction
-    triangles: tuple[Triangle, ...]
-    left_edge: tuple[ExtendedRational, ...]
-    right_edge: tuple[ExtendedRational, ...]
-    indices: Mapping[ExtendedRational, int] = field(compare=False)
+    __slots__ = ("alpha", "expansion", "triangles", "left_edge", "right_edge", "indices")
+    _uncompared = ("indices",)
+
+    def __init__(self, alpha: ExtendedRational, expansion: ContinuedFraction,
+                 triangles: tuple[Triangle, ...], left_edge: tuple[ExtendedRational, ...],
+                 right_edge: tuple[ExtendedRational, ...], indices: Mapping[ExtendedRational, int]):
+        self._store(alpha, expansion, triangles, left_edge, right_edge, indices)
 
 
 def funnel(alpha: ExtendedRational) -> Funnel:

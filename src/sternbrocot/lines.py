@@ -28,11 +28,10 @@ in returned values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .contfrac import ContinuedFraction, IntMat2, continuant_product
 from .errors import DomainError, InvariantViolation
-from .rationals import ExtendedRational
+from .rationals import ExtendedRational, _Frozen
 
 
 class Side(enum.Enum):
@@ -41,8 +40,7 @@ class Side(enum.Enum):
     INFINITE = "INFINITE"
 
 
-@dataclass(frozen=True, init=False)  # checks its input
-class PlanePoint:
+class PlanePoint(_Frozen):
     """Point of R^2 union {oo} with exact rational coordinates.
 
     The infinite point carries no coordinates; finite points store exact
@@ -50,8 +48,6 @@ class PlanePoint:
     """
 
     __slots__ = ("x", "y")
-    x: ExtendedRational | None
-    y: ExtendedRational | None
 
     def __init__(self, x: ExtendedRational | None, y: ExtendedRational | None):
         if (x is None) != (y is None):
@@ -77,7 +73,7 @@ class PlanePoint:
         return f"({self.x}, {self.y})"
 
 
-# The frozen __setattr__ refuses every write, so __init__ stores through the slots.
+# One per diagram vertex: storing through the slots is faster than _store.
 _set_x = PlanePoint.x.__set__
 _set_y = PlanePoint.y.__set__
 
@@ -95,24 +91,23 @@ def vertex_point(value: ExtendedRational) -> PlanePoint:
     return PlanePoint(value, ExtendedRational._from_coprime(1, value.den))
 
 
-@dataclass(frozen=True)  # checks its input
-class ExtendedLine:
+class ExtendedLine(_Frozen):
     """Euclidean line plus the infinite point, anchored on the x-axis.
 
     Stored as the anchor (gamma, 0) and one more exact point, so membership
     is a cleared-denominator determinant comparison with no division.
     """
 
-    anchor: PlanePoint
-    through: PlanePoint
+    __slots__ = ("anchor", "through")
 
-    def __post_init__(self):
-        if self.anchor.at_infinity or self.through.at_infinity:
+    def __init__(self, anchor: PlanePoint, through: PlanePoint):
+        if anchor.at_infinity or through.at_infinity:
             raise DomainError("lines are anchored at finite points")
-        if self.anchor.y.num != 0:
+        if anchor.y.num != 0:
             raise DomainError("anchor must sit on the x-axis")
-        if self.through.y.num == 0:
+        if through.y.num == 0:
             raise DomainError("second point must leave the x-axis")
+        self._store(anchor, through)
 
     @property
     def slope(self) -> ExtendedRational:
@@ -147,24 +142,27 @@ class ExtendedLine:
         return self.anchor == other.anchor and self.slope == other.slope
 
 
-@dataclass(frozen=True)  # read per member; a NamedTuple field read is slower on 3.11
-class LineFamily:
+class LineFamily(_Frozen):
     """One slot of a standard sequence opened up to an integer parameter.
 
     Built by line_family: value() and anchor_x skip the gcd because these
     coefficients come from products of determinant +-1.
     """
 
-    base: ContinuedFraction
-    slot: int
-    shift: int                      # a0
-    prefix: tuple[int, ...]         # a_1 .. a_{i-1}
-    suffix: tuple[int, ...]         # a_{i+1} .. a_n
-    prefix_matrix: IntMat2          # (r t; s u)
-    suffix_column: tuple[int, int]  # (v, w)
-    num_coeffs: tuple[int, int]     # N(m) = num_coeffs[0]*m + num_coeffs[1]
-    den_coeffs: tuple[int, int]     # D(m) = den_coeffs[0]*m + den_coeffs[1]
-    anchor_x: ExtendedRational      # gamma
+    __slots__ = ("base", "slot", "shift", "prefix", "suffix", "prefix_matrix",
+                 "suffix_column", "num_coeffs", "den_coeffs", "anchor_x")
+
+    def __init__(self, base: ContinuedFraction, slot: int,
+                 shift: int,                      # a0
+                 prefix: tuple[int, ...],         # a_1 .. a_{i-1}
+                 suffix: tuple[int, ...],         # a_{i+1} .. a_n
+                 prefix_matrix: IntMat2,          # (r t; s u)
+                 suffix_column: tuple[int, int],  # (v, w)
+                 num_coeffs: tuple[int, int],     # N(m) = num_coeffs[0]*m + num_coeffs[1]
+                 den_coeffs: tuple[int, int],     # D(m) = den_coeffs[0]*m + den_coeffs[1]
+                 anchor_x: ExtendedRational):     # gamma
+        self._store(base, slot, shift, prefix, suffix, prefix_matrix,
+                    suffix_column, num_coeffs, den_coeffs, anchor_x)
 
     @property
     def degree(self) -> int:

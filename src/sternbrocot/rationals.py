@@ -6,9 +6,10 @@ and 0 is stored as 0/1.
 
 Everything here is immutable after construction and safe to share between
 threads; ExtendedRational enforces it, so assigning or deleting an
-attribute raises AttributeError and a hash never changes.  There are no
-arithmetic operators: callers compute with the integers num and den and
-build a new value from the result.  Floating point never appears;
+attribute raises AttributeError and a hash never changes; the private
+base _Frozen does the same for the package's other value classes.  There
+are no arithmetic operators: callers compute with the integers num and den
+and build a new value from the result.  Floating point never appears;
 rendering code converts to floats at the last moment.
 
 ExtendedRational(num, den) reduces any integer pair with one gcd.  The
@@ -32,8 +33,50 @@ from .errors import DomainError, ParseError, too_many_digits
 _RATIONAL_RE = re.compile(r"\A\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+))?\s*\Z")
 
 
+class _Frozen:
+    """Immutable value with its fields in __slots__, in constructor order.
+
+    __init__ stores the fields through _store, or through the slot
+    descriptors' __set__ where it runs in a hot loop; every later write or
+    delete raises AttributeError.  Instances of one class compare and hash
+    by the fields not named in _uncompared, and repr shows every field.
+    __reduce__ rebuilds through the constructor, so copy and pickle work.
+    """
+
+    __slots__ = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def _store(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name}")
+
+    def _compared(self) -> tuple:
+        return tuple([getattr(self, n) for n in self.__slots__ if n not in self._uncompared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared() == other._compared()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, n) for n in self.__slots__])
+
+
 @functools.total_ordering
-class ExtendedRational:
+class ExtendedRational(_Frozen):
     """A reduced fraction p/q with q >= 0, including the infinite value 1/0.
 
     Any integer pair normalizes: (p, 0) is 1/0 for every p != 0, and (0, 0)
@@ -72,12 +115,6 @@ class ExtendedRational:
         _set_num(self, num)
         _set_den(self, den)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ExtendedRational is immutable; cannot set {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ExtendedRational is immutable; cannot delete {name}")
 
     @classmethod
     def parse(cls, text: str) -> "ExtendedRational":

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -285,10 +284,11 @@ class TestUnwritableStdout:
 
     # 1/3 is c_1 of 2/7 = [0;3,2]; without its index the funnel theorem fails.
     DROP_ONE_THIRD = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "from sternbrocot import ExtendedRational as R, cli, diagram\n"
         "f = diagram.funnel(R(2, 7))\n"
-        "corrupt = dataclasses.replace(f, indices={v: i for v, i in f.indices.items() if v != R(1, 3)})\n"
+        "corrupt = diagram.Funnel(f.alpha, f.expansion, f.triangles, f.left_edge, f.right_edge,\n"
+        "                         {v: i for v, i in f.indices.items() if v != R(1, 3)})\n"
         "diagram.funnel = lambda alpha: corrupt\n"
         "sys.exit(cli.run(sys.argv[1:]))\n"
     )
@@ -426,7 +426,7 @@ class TestFunnelCornerCopies:
         def copied(alpha):
             f = build(alpha)
             triangles = tuple(tuple(ExtendedRational(v.num, v.den) for v in t) for t in f.triangles)
-            return dataclasses.replace(f, triangles=triangles)
+            return diagram.Funnel(f.alpha, f.expansion, triangles, f.left_edge, f.right_edge, f.indices)
 
         monkeypatch.setattr(diagram, "funnel", copied)
         assert run(argv) == 0
@@ -464,9 +464,9 @@ class TestInternalErrorExit:
         # triangles and the right edge along with its index.
         f = diagram.funnel(ExtendedRational(2, 7))
         third = ExtendedRational(1, 3)
-        corrupt = dataclasses.replace(
-            f, triangles=tuple(t for t in f.triangles if third not in t),
-            right_edge=tuple(v for v in f.right_edge if v != third),
+        corrupt = diagram.Funnel(
+            f.alpha, f.expansion, triangles=tuple(t for t in f.triangles if third not in t),
+            left_edge=f.left_edge, right_edge=tuple(v for v in f.right_edge if v != third),
             indices={v: i for v, i in f.indices.items() if v != third})
         monkeypatch.setattr(diagram, "funnel", lambda alpha: corrupt)
         assert run(["funnel", "2/7"]) == 4
@@ -480,7 +480,8 @@ class TestInternalErrorExit:
         # the right edge and prints its index as "?" (null in JSON).
         f = diagram.funnel(ExtendedRational(2, 7))
         third = ExtendedRational(1, 3)
-        corrupt = dataclasses.replace(f, indices={v: i for v, i in f.indices.items() if v != third})
+        corrupt = diagram.Funnel(f.alpha, f.expansion, f.triangles, f.left_edge, f.right_edge,
+                                 {v: i for v, i in f.indices.items() if v != third})
         monkeypatch.setattr(diagram, "funnel", lambda alpha: corrupt)
         assert run(["funnel", "2/7", *extra]) == 4
         out, err = out_of(capsys)
@@ -527,7 +528,9 @@ class TestFunnelSvgRefusedBeforeWork:
 
 
 class TestSvgWindowSizeCap:
-    @pytest.mark.parametrize("window, density", [("-1000..1000", "60"), ("0..2", "400")])
+    # -1/2..3/2 at 283 costs 2 * 283^2 = 160178 > 400^2, with fractional ends.
+    @pytest.mark.parametrize("window, density", [("-1000..1000", "60"), ("0..2", "400"),
+                                                 ("-1/2..3/2", "283")])
     def test_too_large_a_window_is_exit_3_and_writes_nothing(self, window, density,
                                                              tmp_path, capsys):
         target = tmp_path / "W.svg"
@@ -592,6 +595,10 @@ class TestSvgFloatRange:
 
 
 class TestLinkCommands:
+    def test_canon_of_a_one_term_class_draws_its_plat(self, capsys):
+        assert run(["link", "canon", "1/2"]) == 0
+        assert out_of(capsys) == ("1/2 = [0;2] (standard plat)\ntop    2R\nbottom ..\n", "")
+
     def test_canon_text(self, capsys):
         assert run(["link", "canon", "5/7"]) == 0
         out, _ = out_of(capsys)

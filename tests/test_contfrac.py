@@ -169,6 +169,11 @@ class TestContinuantProducts:
             assert cur.column(0) == prev.column(1)
             prev = cur
 
+    def test_rows_and_columns_read_the_entries_in_place(self):
+        m = IntMat2(1, 2, 3, 4)
+        assert (m.row(0), m.row(1)) == ((1, 2), (3, 4))
+        assert (m.column(0), m.column(1)) == ((1, 3), (2, 4))
+
     @given(int_terms)
     def test_rows_and_columns_coprime_or_zero_with_unit(self, terms):
         import math

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -13,6 +12,7 @@ from sternbrocot import (
     DegenerateFunnelError,
     DomainError,
     ExtendedRational,
+    Funnel,
     build_diagram,
     convergents,
     evaluate,
@@ -440,7 +440,8 @@ class TestVerifierRecount:
             for delta in (1, -1):
                 bad = dict(f.indices)
                 bad[v] += delta
-                corrupt = dataclasses.replace(f, indices=MappingProxyType(bad))
+                corrupt = Funnel(f.alpha, f.expansion, f.triangles, f.left_edge, f.right_edge,
+                                 MappingProxyType(bad))
                 monkeypatch.setattr(diagram, "funnel", lambda alpha, corrupt=corrupt: corrupt)
                 report = verify_funnel_theorem(CF(terms))
                 assert not report.all_passed, (terms, str(v), delta)
@@ -454,7 +455,8 @@ class TestVerifierRecount:
         f = funnel(R(2, 7))
         bad = dict(f.indices)
         del bad[missing]
-        corrupt = dataclasses.replace(f, indices=MappingProxyType(bad))
+        corrupt = Funnel(f.alpha, f.expansion, f.triangles, f.left_edge, f.right_edge,
+                         MappingProxyType(bad))
         monkeypatch.setattr(diagram, "funnel", lambda alpha: corrupt)
         report = verify_funnel_theorem(CF((0, 3, 2)))
         assert not report.all_passed
@@ -462,11 +464,20 @@ class TestVerifierRecount:
 
     def test_swapped_edges_fail_only_the_sides_clause(self):
         f = funnel(R(2, 7))
-        swapped = dataclasses.replace(f, left_edge=f.right_edge, right_edge=f.left_edge)
+        swapped = Funnel(f.alpha, f.expansion, f.triangles, left_edge=f.right_edge,
+                         right_edge=f.left_edge, indices=f.indices)
         report = verify_funnel_theorem(swapped)
         # Three clauses: the index recount, which reads no edge, passes.
         assert [c.passed for c in report.clauses] == [False, True, True]
         assert report.clauses[0].detail == "c_0=0 not on left edge; c_1=1/3 not on right edge"
+
+    def test_the_sides_clause_names_the_side_of_each_convergent(self):
+        # 13/30 = [0;2,3,4]: c_2 belongs on the left edge like c_0.
+        f = funnel(R(13, 30))
+        swapped = Funnel(f.alpha, f.expansion, f.triangles, left_edge=f.right_edge,
+                         right_edge=f.left_edge, indices=f.indices)
+        assert verify_funnel_theorem(swapped).clauses[0].detail == (
+            "c_0=0 not on left edge; c_1=1/2 not on right edge; c_2=3/7 not on left edge")
 
     @pytest.mark.parametrize("terms", [(0, 3, 2), (2, 5), (-3, 1, 4, 1, 2)])
     def test_a_corrupt_funnel_passed_in_fails(self, monkeypatch, terms):
@@ -481,7 +492,8 @@ class TestVerifierRecount:
         for v in f.indices:
             bad = dict(f.indices)
             bad[v] += 1
-            report = verify_funnel_theorem(dataclasses.replace(f, indices=MappingProxyType(bad)))
+            report = verify_funnel_theorem(Funnel(f.alpha, f.expansion, f.triangles, f.left_edge,
+                                                  f.right_edge, MappingProxyType(bad)))
             assert not report.all_passed, (terms, str(v))
             recount = report.clauses[-1]
             assert recount.name == "index recount" and not recount.passed
@@ -504,7 +516,8 @@ class TestRecountOrientation:
         f = funnel(evaluate(CF(terms)))
         for order in itertools.permutations(range(3)):
             tris = tuple(tuple(t[i] for i in order) for t in f.triangles)
-            assert diagram._index_recount_misses(dataclasses.replace(f, triangles=tris)) == [], order
+            reordered = Funnel(f.alpha, f.expansion, tris, f.left_edge, f.right_edge, f.indices)
+            assert diagram._index_recount_misses(reordered) == [], order
 
     def test_mixed_vertex_orders_recount_the_same(self):
         orders = list(itertools.permutations(range(3)))
@@ -512,7 +525,8 @@ class TestRecountOrientation:
             rng = random.Random(seed)
             f = funnel(evaluate(CF(random_expansion(seed))))
             tris = tuple(tuple(t[i] for i in rng.choice(orders)) for t in f.triangles)
-            assert diagram._index_recount_misses(dataclasses.replace(f, triangles=tris)) == [], seed
+            reordered = Funnel(f.alpha, f.expansion, tris, f.left_edge, f.right_edge, f.indices)
+            assert diagram._index_recount_misses(reordered) == [], seed
 
 
 class TestXIntervalIndex:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -11,6 +10,7 @@ from sternbrocot import (
     DomainError,
     ExtendedLine,
     ExtendedRational,
+    Funnel,
     FunnelOverlay,
     LineOverlay,
     PlanePoint,
@@ -121,14 +121,16 @@ class TestFormatOncePerVertex:
         d = build_diagram(R(-1), R(1), 12)
         f = funnel(R(-5, 7))
         own = {(v.num, v.den): v for v in d.vertices}
-        shared_f = dataclasses.replace(f, triangles=tuple(
-            tuple(own[v.num, v.den] for v in tri) for tri in f.triangles))
+        shared_f = Funnel(f.alpha, f.expansion, tuple(
+            tuple(own[v.num, v.den] for v in tri) for tri in f.triangles),
+            f.left_edge, f.right_edge, f.indices)
         distinct_d = d._replace(
             edges=tuple(tuple(map(self.copied, e)) for e in d.edges),
             triangles=tuple(tuple(map(self.copied, t)) for t in d.triangles),
         )
-        distinct_f = dataclasses.replace(f, triangles=tuple(
-            tuple(map(self.copied, tri)) for tri in f.triangles))
+        distinct_f = Funnel(f.alpha, f.expansion, tuple(
+            tuple(map(self.copied, tri)) for tri in f.triangles),
+            f.left_edge, f.right_edge, f.indices)
         assert all(a is not b for (a, _), (b, _) in zip(d.edges, distinct_d.edges))
         shared = render_svg(d, [FunnelOverlay(shared_f)])
         assert render_svg(distinct_d, [FunnelOverlay(distinct_f)]) == shared

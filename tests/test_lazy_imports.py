@@ -21,18 +21,22 @@ else:
     from sternbrocot import cli
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.run(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("sternbrocot."))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("sternbrocot.") or m in ("dataclasses", "inspect"))))
 """
 
 BASE = {"cli", "contfrac", "errors", "rationals"}
 SVG = BASE | {"diagram", "figures"}
+# links keeps LinkFamilyEntry a dataclass, since perfbench/selfcheck.py calls
+# dataclasses.replace on it, so the link commands load dataclasses and inspect.
+LINKS = BASE | {"links", "dataclasses", "inspect"}
 
 CASES = [
     (("eval", "[-1;2,3]"), BASE),
     (("expand", "2/7"), BASE),
-    (("link", "canon", "5/7"), BASE | {"links"}),
-    (("link", "canon", "5/7", "--json"), BASE | {"links"}),
-    (("link", "eq", "3/7", "5/7"), BASE | {"links"}),
+    (("link", "canon", "5/7"), LINKS),
+    (("link", "canon", "5/7", "--json"), LINKS),
+    (("link", "eq", "3/7", "5/7"), LINKS),
     (("funnel", "2/7"), BASE | {"diagram"}),
     (("funnel", "2/7", "--json"), BASE | {"diagram"}),
     (("lines", "[0;3,_,4]"), BASE | {"lines"}),
@@ -71,12 +75,13 @@ def test_a_submodule_loads_on_first_use_of_its_name(tmp_path):
 
 
 def test_rationals_loads_neither_dataclasses_nor_lines(tmp_path):
-    # The plane points and their dataclass live in lines; rationals and the
-    # figures' NamedTuple overlays stay free of both.
+    # The plane points live in lines; rationals and the figures' NamedTuple
+    # overlays do not load it, and no value class module loads dataclasses.
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for module in ("rationals", "figures"):
+    for module, loads_lines in (("rationals", False), ("figures", False), ("contfrac", False),
+                                ("diagram", False), ("lines", True)):
         script = (f"import sys, sternbrocot.{module};"
                   " print('dataclasses' in sys.modules, 'sternbrocot.lines' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=60)
-        assert proc.stdout.split() == ["False", "False"], (module, proc.stderr)
+        assert proc.stdout.split() == ["False", str(loads_lines)], (module, proc.stderr)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,6 +9,7 @@ from sternbrocot import (
     ExtendedRational,
     INFINITY,
     InvariantViolation,
+    LineFamily,
     PlanePoint,
     Side,
     evaluate,
@@ -240,7 +240,9 @@ class TestDistanceProfile:
         # m <= -2; each breaks the strict decrease on its own tail.
         fam = fam_0_3_m_4()
         for coeffs, label in (((1, -5), "m>=0"), ((1, 5), "m<=-2")):
-            bad = dataclasses.replace(fam, den_coeffs=coeffs)
+            bad = LineFamily(fam.base, fam.slot, fam.shift, fam.prefix, fam.suffix,
+                             fam.prefix_matrix, fam.suffix_column, fam.num_coeffs,
+                             den_coeffs=coeffs, anchor_x=fam.anchor_x)
             with pytest.raises(InvariantViolation, match=label):
                 bad.squared_distance_profile(8)
         fam.squared_distance_profile(8)

@@ -46,6 +46,8 @@ class TestPlatDiagram:
     def test_empty_region_has_no_handedness(self):
         plat = plat_diagram((2, 0, 3))
         assert plat.regions[1].count == 0 and plat.regions[1].hand is None
+        # A zero term is not positive, so the diagram is not standard.
+        assert not plat.is_standard and not plat_diagram((2, 0, 2)).is_standard
 
     def test_terms_are_checked_as_integers(self):
         # As plat_fraction and classify_range do.
