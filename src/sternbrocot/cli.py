@@ -257,7 +257,8 @@ def _cmd_lines(args) -> str:
         if partner is not None:
             overlays.append(figures.PointOverlay(tuple(map(partner.value, members)),
                                                  color="#d4a017"))
-        _write_window_svg(args.svg, ExtendedRational(fam.shift), ExtendedRational(fam.shift + 1),
+        a0 = fam.base.terms[0]
+        _write_window_svg(args.svg, ExtendedRational(a0), ExtendedRational(a0 + 1),
                           args.max_denom, overlays)
         return f"wrote {args.svg}"
 

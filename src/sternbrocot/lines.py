@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 
-from .contfrac import ContinuedFraction, IntMat2, continuant_product
+from .contfrac import ContinuedFraction, continuant_product
 from .errors import DomainError, InvariantViolation
 from .rationals import ExtendedRational, _Frozen
 
@@ -143,26 +143,39 @@ class ExtendedLine(_Frozen):
 
 
 class LineFamily(_Frozen):
-    """One slot of a standard sequence opened up to an integer parameter.
+    """Slot i of a standard sequence [a0; a1, ..., an] (n >= 1, 1 <= i <= n)
+    opened up to an integer parameter: LineFamily(base, slot).
 
-    Built by line_family: value() and anchor_x skip the gcd because these
-    coefficients come from products of determinant +-1.
+    It stores what base and slot fix: the forms N and D and the anchor
+    gamma = a0 + t/u, whose denominator is u; w is den_coeffs[0] // u.
+    value() and anchor_x skip the gcd: these coefficients come from
+    products of determinant +-1.
     """
 
-    __slots__ = ("base", "slot", "shift", "prefix", "suffix", "prefix_matrix",
-                 "suffix_column", "num_coeffs", "den_coeffs", "anchor_x")
+    __slots__ = ("base", "slot", "num_coeffs", "den_coeffs", "anchor_x")
 
-    def __init__(self, base: ContinuedFraction, slot: int,
-                 shift: int,                      # a0
-                 prefix: tuple[int, ...],         # a_1 .. a_{i-1}
-                 suffix: tuple[int, ...],         # a_{i+1} .. a_n
-                 prefix_matrix: IntMat2,          # (r t; s u)
-                 suffix_column: tuple[int, int],  # (v, w)
-                 num_coeffs: tuple[int, int],     # N(m) = num_coeffs[0]*m + num_coeffs[1]
-                 den_coeffs: tuple[int, int],     # D(m) = den_coeffs[0]*m + den_coeffs[1]
-                 anchor_x: ExtendedRational):     # gamma
-        self._store(base, slot, shift, prefix, suffix, prefix_matrix,
-                    suffix_column, num_coeffs, den_coeffs, anchor_x)
+    def __init__(self, base: ContinuedFraction, slot: int):
+        if not base.is_standard:
+            raise DomainError(f"{base} is not standard")
+        n = base.degree
+        if n < 1:
+            raise DomainError("single-term sequences have no slot to open")
+        if not 1 <= slot <= n:
+            raise DomainError(f"slot {slot} out of range 1..{n}")
+        terms = base.terms
+        r, t, s, u = continuant_product(terms[1:slot])
+        v, w = continuant_product(terms[slot + 1:]).column(1)
+        if min(r, t, s, u, v, w) < 0:
+            raise InvariantViolation("negative entry in a standard prefix/suffix product")
+        if u * w <= 0:
+            raise InvariantViolation("denominator form must be strictly increasing")
+        # N(m) = num_coeffs[0]*m + num_coeffs[1], D(m) likewise; (t, u) is a
+        # column of a matrix of determinant +-1, so a0*u + t and u are coprime.
+        self._store(base, slot, (t * w, r * w + t * v), (u * w, s * w + u * v),
+                    ExtendedRational._from_coprime(terms[0] * u + t, u))
+
+    def __reduce__(self):
+        return LineFamily, (self.base, self.slot)
 
     @property
     def degree(self) -> int:
@@ -184,7 +197,7 @@ class LineFamily(_Frozen):
         """The substituted continued fraction's value, infinity included."""
         d = self.denominator_at(m)
         # A column of the member's continuant product, of determinant +-1.
-        return ExtendedRational._from_coprime(self.numerator_at(m) + self.shift * d, d)
+        return ExtendedRational._from_coprime(self.numerator_at(m) + self.base.terms[0] * d, d)
 
     def vertex(self, m: int) -> PlanePoint:
         return vertex_point(self.value(m))
@@ -229,14 +242,15 @@ class LineFamily(_Frozen):
         """Exact squared distances |vertex(m) - (gamma, 0)|^2 for m = 0..count
         and m = -1..-count; None marks infinite members (D(m) = 0).
 
-        Each is the closed form (w^2 + u^2) / (u*D(m))^2 with u the prefix's
-        denominator and w the suffix's bottom entry.  The numerator is
-        constant, so the strict decrease over the finite entries on m >= 0
-        and on m <= -2 is re-checked as a strict increase of |D(m)|.
+        Each is the closed form (w^2 + u^2) / (u*D(m))^2, u = anchor_x.den and
+        w = den_coeffs[0] // u.  The numerator is constant, so the strict
+        decrease over the finite entries on m >= 0 and on m <= -2 is
+        re-checked as a strict increase of |D(m)|.
         """
         if count < 2:
             raise DomainError("need count >= 2")
-        u, w = self.prefix_matrix.d, self.suffix_column[1]
+        u = self.anchor_x.den
+        w = self.den_coeffs[0] // u
         top = w * w + u * u
         pos_d = [self.denominator_at(m) for m in range(0, count + 1)]
         neg_d = [self.denominator_at(m) for m in range(-1, -count - 1, -1)]
@@ -259,48 +273,19 @@ class LineFamily(_Frozen):
         the two lines.  Families with an empty prefix or prefix (1,) have no
         partner with the same leading term.
         """
-        if self.slot < 2:
+        slot, terms = self.slot, self.base.terms
+        prefix = terms[1:slot]
+        if slot < 2 or prefix == (1,):
             return None
-        if self.prefix == (1,):
-            return None
-        if self.prefix[-1] >= 2:
-            new_prefix = self.prefix[:-1] + (self.prefix[-1] - 1, 1)
-            new_slot = self.slot + 1
+        if prefix[-1] >= 2:
+            new_prefix = prefix[:-1] + (prefix[-1] - 1, 1)
+            new_slot = slot + 1
         else:
-            new_prefix = self.prefix[:-2] + (self.prefix[-2] + 1,)
-            new_slot = self.slot - 1
-        terms = (self.shift, *new_prefix, self.base.terms[self.slot], *self.suffix)
-        return line_family(ContinuedFraction(terms), new_slot)
+            new_prefix = prefix[:-2] + (prefix[-2] + 1,)
+            new_slot = slot - 1
+        return LineFamily(ContinuedFraction((terms[0], *new_prefix, *terms[slot:])), new_slot)
 
 
 def line_family(seq: ContinuedFraction, slot: int) -> LineFamily:
-    """Open slot i of a standard sequence (n >= 1, 1 <= i <= n)."""
-    if not seq.is_standard:
-        raise DomainError(f"{seq} is not standard")
-    n = seq.degree
-    if n < 1:
-        raise DomainError("single-term sequences have no slot to open")
-    if not 1 <= slot <= n:
-        raise DomainError(f"slot {slot} out of range 1..{n}")
-    terms = seq.terms
-    pm = continuant_product(terms[1:slot])
-    sm = continuant_product(terms[slot + 1:])
-    v, w = sm.column(1)
-    r, t, s, u = pm
-    if min(r, t, s, u, v, w) < 0:
-        raise InvariantViolation("negative entry in a standard prefix/suffix product")
-    if u * w <= 0:
-        raise InvariantViolation("denominator form must be strictly increasing")
-    return LineFamily(
-        base=seq,
-        slot=slot,
-        shift=terms[0],
-        prefix=terms[1:slot],
-        suffix=terms[slot + 1:],
-        prefix_matrix=pm,
-        suffix_column=(v, w),
-        num_coeffs=(t * w, r * w + t * v),
-        den_coeffs=(u * w, s * w + u * v),
-        # (t, u) is a column of pm, of determinant +-1, so a0*u + t and u are coprime.
-        anchor_x=ExtendedRational._from_coprime(terms[0] * u + t, u),
-    )
+    """LineFamily(seq, slot), under the name the package has always exported."""
+    return LineFamily(seq, slot)

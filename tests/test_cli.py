@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sternbrocot import ContinuedFraction, ExtendedRational, cli, diagram, figures, line_family
+from sternbrocot import (ContinuedFraction, ExtendedRational, IntMat2, cli, diagram, figures,
+                         line_family)
 from sternbrocot.cli import MAX_SVG_DENOM, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -457,6 +458,15 @@ class TestInternalErrorExit:
         else:
             assert "clause (planted): FAIL [planted failure]\n" in out
             assert err == "internal error: funnel theorem failed for [0;3,2]\n"
+
+    def test_a_line_family_guard_is_exit_4(self, capsys, monkeypatch):
+        # A prefix product with a negative entry trips the family's guard.
+        from sternbrocot import lines
+
+        monkeypatch.setattr(lines, "continuant_product", lambda terms: IntMat2(1, 0, -1, 1))
+        assert run(["lines", "[0;3,_,4]"]) == 4
+        assert out_of(capsys) == ("", "internal error: negative entry in a standard "
+                                      "prefix/suffix product\n")
 
     def test_a_pivot_without_an_index_is_exit_4(self, capsys, monkeypatch):
         # 1/3 is c_1 of 2/7 = [0;3,2].  The report names each strip vertex

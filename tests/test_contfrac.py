@@ -202,8 +202,8 @@ class TestContinuantProducts:
 
 
 class TestIntMat2IsAValue:
-    """A matrix cannot change after construction, so a set holding it and a
-    frozen LineFamily carrying it keep their hashes."""
+    """A matrix cannot change after construction, so a set holding it keeps
+    its hash; nor can the values a LineFamily derives from such products."""
 
     @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
     def test_assignment_raises_and_set_membership_survives(self, name):
@@ -216,8 +216,14 @@ class TestIntMat2IsAValue:
     def test_line_family_hash_is_stable(self):
         fam = line_family(CF((0, 3, 1, 4)), 2)
         h, profile = hash(fam), fam.squared_distance_profile(3)
-        with pytest.raises(AttributeError):
-            fam.prefix_matrix.d = 99
+        # The profile reads u from anchor_x.den and w from den_coeffs: both
+        # exist, and both refuse the write.
+        assert fam.anchor_x.den == 3 and fam.den_coeffs == (12, 7)
+        with pytest.raises(AttributeError, match="immutable"):
+            fam.anchor_x.den = 99
+        with pytest.raises(AttributeError, match="immutable"):
+            fam.den_coeffs = (99, 7)
+        assert fam.anchor_x.den == 3 and fam.den_coeffs == (12, 7)
         assert hash(fam) == h and fam == line_family(CF((0, 3, 1, 4)), 2)
         assert fam.squared_distance_profile(3) == profile
 

@@ -42,8 +42,7 @@ FIELDS = {
     CF: ("terms",),
     Funnel: ("alpha", "expansion", "triangles", "left_edge", "right_edge", "indices"),
     ExtendedLine: ("anchor", "through"),
-    LineFamily: ("base", "slot", "shift", "prefix", "suffix", "prefix_matrix", "suffix_column",
-                 "num_coeffs", "den_coeffs", "anchor_x"),
+    LineFamily: ("base", "slot", "num_coeffs", "den_coeffs", "anchor_x"),
 }
 
 
@@ -66,8 +65,7 @@ PINNED = [
                  "through=PlanePoint(x=ExtendedRational(2, 3), y=ExtendedRational(1, 3)))",
                  id="ExtendedLine"),
     pytest.param(family, lambda: tuple(fields(family()).values()),
-                 "LineFamily(base=ContinuedFraction(terms=(0, 3, 2)), slot=1, shift=0, prefix=(), "
-                 "suffix=(2,), prefix_matrix=IntMat2(a=1, b=0, c=0, d=1), suffix_column=(1, 2), "
+                 "LineFamily(base=ContinuedFraction(terms=(0, 3, 2)), slot=1, "
                  "num_coeffs=(0, 2), den_coeffs=(2, 1), anchor_x=ExtendedRational(0, 1))",
                  id="LineFamily"),
 ]
@@ -107,8 +105,14 @@ class TestFormerDataclassBehaviour:
 
     def test_keyword_construction(self):
         assert CF(terms=[1, 2]) == CF((1, 2))
-        for x in (half_funnel(), line(), family()):
+        for x in (half_funnel(), line()):
             assert type(x)(**fields(x)) == x
+        # A family is built from its base and slot alone; the forms and the
+        # anchor are derived, so the constructor takes no other field.
+        fam = family()
+        assert LineFamily(base=fam.base, slot=fam.slot) == fam
+        with pytest.raises(TypeError):
+            LineFamily(**fields(fam))
 
 
 COPIED = [
@@ -119,6 +123,7 @@ COPIED = [
     pytest.param(lambda: CF((0, 3, 2)), id="ContinuedFraction"),
     pytest.param(line, id="ExtendedLine"),
     pytest.param(family, id="LineFamily"),
+    pytest.param(lambda: line_family(CF((-2, 1, 4, 3)), 3), id="LineFamily-last-slot"),
     pytest.param(lambda: build_diagram(R(0), R(1), 5), id="Diagram"),
 ]
 
@@ -132,6 +137,11 @@ class TestCopyAndPickle:
         x = make()
         y = trip(x)
         assert type(y) is type(x) and y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
+    def test_a_family_reduces_to_its_base_and_slot(self):
+        fam = line_family(CF((-2, 1, 4, 3)), 2)
+        assert fam.__reduce__() == (LineFamily, (fam.base, fam.slot))
+        assert copy.copy(fam).den_coeffs == fam.den_coeffs
 
     def test_a_funnel_copies(self):
         # Its MappingProxyType indices can be copied but not pickled.

@@ -8,10 +8,12 @@ from sternbrocot import (
     DomainError,
     ExtendedRational,
     INFINITY,
+    IntMat2,
     InvariantViolation,
     LineFamily,
     PlanePoint,
     Side,
+    continuant_product,
     evaluate,
     is_farey_pair,
     line_family,
@@ -39,9 +41,11 @@ def random_standard_family(rng, max_n=6, max_term=9, a0_span=9):
 class TestFamilyConstruction:
     def test_0_3_slot_4_pieces(self):
         fam = fam_0_3_m_4()
-        pm = fam.prefix_matrix
-        assert (pm.a, pm.b, pm.c, pm.d) == (0, 1, 1, 3)  # (r t; s u)
-        assert fam.suffix_column == (1, 4)
+        terms, i = fam.base.terms, fam.slot
+        assert continuant_product(terms[1:i]) == IntMat2(0, 1, 1, 3)  # (r t; s u)
+        assert continuant_product(terms[i + 1:]).column(1) == (1, 4)  # (v, w)
+        # The family reads u and w back from what it stores.
+        assert fam.anchor_x.den == 3 and fam.den_coeffs[0] // 3 == 4
         assert fam.num_coeffs == (4, 1)    # P(m) = 4m + 1
         assert fam.den_coeffs == (12, 7)   # Q(m) = 12m + 7
         assert fam.value(1) == R(5, 19)
@@ -91,7 +95,7 @@ class TestFamilyConstruction:
         rng = random.Random(43)
         for _ in range(80):
             fam = random_standard_family(rng)
-            assert fam.anchor_x == evaluate((fam.shift, *fam.prefix))
+            assert fam.anchor_x == evaluate(fam.base.terms[:fam.slot])
 
     def test_sequence_for_evaluates_to_the_value(self):
         rng = random.Random(44)
@@ -234,18 +238,18 @@ class TestDistanceProfile:
                 products.add(d2 * q * q)
             assert len(products) == 1
 
-    def test_non_monotone_tails_are_refused(self):
-        # Hand-built forms that no standard sequence gives: D(m) = m - 5
-        # shrinks in size on m >= 0, and D(m) = m + 5 passes through 0 on
-        # m <= -2; each breaks the strict decrease on its own tail.
+    def test_non_monotone_tails_are_refused(self, monkeypatch):
+        # Forms that no standard sequence gives, planted in a built family;
+        # each breaks the strict decrease on its own tail.
         fam = fam_0_3_m_4()
-        for coeffs, label in (((1, -5), "m>=0"), ((1, 5), "m<=-2")):
-            bad = LineFamily(fam.base, fam.slot, fam.shift, fam.prefix, fam.suffix,
-                             fam.prefix_matrix, fam.suffix_column, fam.num_coeffs,
-                             den_coeffs=coeffs, anchor_x=fam.anchor_x)
-            with pytest.raises(InvariantViolation, match=label):
-                bad.squared_distance_profile(8)
         fam.squared_distance_profile(8)
+        for den, label in ((lambda m: m - 5, "m>=0"),    # shrinks in size on m >= 0
+                           (lambda m: m + 5, "m<=-2"),   # passes through 0 on m <= -2
+                           (lambda m: 7, "m>=0"),        # equal is not a decrease
+                           (lambda m: -2 if m == -3 else m, "m<=-2")):  # ties at m = -2, -3
+            monkeypatch.setattr(LineFamily, "denominator_at", lambda self, m: den(m))
+            with pytest.raises(InvariantViolation, match=label):
+                fam.squared_distance_profile(8)
 
     def test_rejects_short_profiles(self):
         with pytest.raises(DomainError):
@@ -258,9 +262,9 @@ class TestDistanceProfile:
         seen_negative_a0 = seen_slot_one = False
         for _ in range(200):
             fam = random_standard_family(rng)
-            seen_negative_a0 |= fam.shift < 0
+            seen_negative_a0 |= fam.base.terms[0] < 0
             seen_slot_one |= fam.slot == 1
-            gamma = Fraction(*matrix_eval_pair((fam.shift, *fam.prefix)))
+            gamma = Fraction(*matrix_eval_pair(fam.base.terms[:fam.slot]))
             pos, neg = fam.squared_distance_profile(12)
             for ms, entries in ((range(0, 13), pos), (range(-1, -13, -1), neg)):
                 assert len(entries) == len(ms)
@@ -275,6 +279,51 @@ class TestDistanceProfile:
                     assert entry is not None and entry.den > 0
                     assert Fraction(entry.num, entry.den) == (x - gamma) ** 2 + y ** 2
         assert seen_negative_a0 and seen_slot_one
+
+
+class TestRunTimeGuards:
+    """Each InvariantViolation in lines.py fires when its integers are wrong.
+
+    The prefix and suffix products are both replaced by one fixed matrix
+    (r t; s u), whose second column is (v, w) = (t, u); correct products
+    never trip these guards."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        import sternbrocot.lines
+
+        def plant(matrix):
+            monkeypatch.setattr(sternbrocot.lines, "continuant_product", lambda terms: matrix)
+        return plant
+
+    @pytest.mark.parametrize("matrix, message", [
+        (IntMat2(1, 0, -1, 1), "negative entry"),
+        (IntMat2(1, 0, 0, 0), "strictly increasing"),   # D(m) = 0
+    ])
+    def test_the_constructor_refuses_bad_products(self, products, matrix, message):
+        products(matrix)
+        with pytest.raises(InvariantViolation, match=message):
+            line_family(CF((0, 3, 1, 4)), 2)
+
+    @pytest.mark.parametrize("matrix, seq, slot, message", [
+        # D(m) = m + 2 and D(m) = m: roots -2 and 0 on degree 2.
+        (IntMat2(1, 0, 2, 1), (0, 3, 4), 2, r"root -2 of D outside \(-2, 0\)"),
+        (IntMat2(1, 0, 0, 1), (0, 3, 4), 2, r"root 0 of D outside \(-2, 0\)"),
+        # D(m) = m + 1: root -1 is allowed for slot 2 but not for slot 1.
+        (IntMat2(1, 0, 1, 1), (0, 3, 4), 1, r"root -1 outside \(-1, 0\) with slot 1"),
+    ])
+    def test_a_root_outside_its_interval_is_refused(self, products, matrix, seq, slot, message):
+        products(matrix)
+        with pytest.raises(InvariantViolation, match=message):
+            line_family(CF(seq), slot).denominator_root()
+
+    @pytest.mark.parametrize("matrix, seq, slot, root", [
+        (IntMat2(1, 0, 1, 1), (0, 3, 4), 2, R(-1)),
+        (IntMat2(1, 0, 2, 1), (0, 3), 1, R(-2)),   # n = 1 has no interval
+    ])
+    def test_the_root_checks_apply_only_where_claimed(self, products, matrix, seq, slot, root):
+        products(matrix)
+        assert line_family(CF(seq), slot).denominator_root() == root
 
 
 class TestSharedPartner:
@@ -348,13 +397,17 @@ class TestAgainstDirectSubstitution:
         rng = random.Random(29)
         for _ in range(100):
             fam = random_standard_family(rng)
-            t, u = fam.prefix_matrix.b, fam.prefix_matrix.d
+            terms, i = fam.base.terms, fam.slot
+            # (t, u) and (v, w): the second columns of the a0-free prefix
+            # and suffix products.
+            t, u = matrix_eval_pair((0, *terms[1:i]))
+            w = matrix_eval_pair((0, *terms[i + 1:]))[1]
+            assert fam.anchor_x.den == u and fam.den_coeffs[0] == u * w
             dets = {
                 fam.numerator_at(m) * u - t * fam.denominator_at(m)
                 for m in range(-20, 21)
             }
             assert len(dets) == 1
-            w = fam.suffix_column[1]
             assert dets.pop() == (-1) ** (fam.slot + 1) * w
 
     def test_numerator_denominator_coprime_or_degenerate(self):
