@@ -36,8 +36,8 @@ class LineOverlay(NamedTuple):
 
 
 class PointOverlay(NamedTuple):
-    """The diagram vertices (p/q, 1/q) of the values p/q, marked in one
-    colour; 1/0 has no vertex and is skipped."""
+    """The diagram vertices (p/q, 1/q) of the values p/q in the window,
+    marked in one colour; other values, and 1/0, are skipped."""
 
     values: tuple[ExtendedRational, ...]
     color: str = "#e0218a"
@@ -160,9 +160,13 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
             out.append("</g>")
         elif isinstance(ov, PointOverlay):
             out.append(f'<g class="family-points" fill="{ov.color}">')
-            # Family members pile up at the anchor: each distinct circle
-            # is written once, in the order it is first met.
-            marks = (vertex(v) for v in ov.values if not v.is_infinite)
+            # Only values lo <= p/q <= hi are drawn, compared on integers;
+            # 1/0, stored as (1, 0), fails p*hd <= hn*q and has no vertex.
+            # Family members pile up at the anchor: each distinct circle is
+            # written once, in the order it is first met.
+            ln, ld, hn, hd = diagram.lo.num, diagram.lo.den, diagram.hi.num, diagram.hi.den
+            marks = (vertex(v) for v in ov.values
+                     if ln * v.den <= v.num * ld and v.num * hd <= hn * v.den)
             out.extend(dict.fromkeys(f'<circle cx="{x}" cy="{y}" r="3"/>' for x, y in marks))
             out.append("</g>")
         else:

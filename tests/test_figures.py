@@ -12,6 +12,7 @@ from sternbrocot import (
     ExtendedRational,
     Funnel,
     FunnelOverlay,
+    INFINITY,
     LineOverlay,
     PlanePoint,
     PointOverlay,
@@ -80,6 +81,21 @@ def test_overlay_groups_present_and_infinite_points_skipped():
         g for g in root.findall(f"{SVG_NS}g") if g.get("class") == "family-points"
     ][0]
     assert len(point_group.findall(f"{SVG_NS}circle")) == 4  # 5 values, one infinite
+
+
+@pytest.mark.parametrize("lo, hi, inside, outside", [
+    (R(0), R(1), [R(0), R(1), R(1, 2), R(1, 1000)], [R(-1, 9), R(10, 9), R(-3), R(4)]),
+    (R(-7, 3), R(-1, 2), [R(-7, 3), R(-1, 2), R(-1)], [R(-5, 2), R(-12, 5), R(-2, 5), R(0)]),
+])
+def test_point_overlay_draws_only_the_values_in_the_window(lo, hi, inside, outside):
+    # The window's ends are kept; values beyond them and 1/0 are not drawn,
+    # so every circle lands on the canvas.
+    values = tuple(outside[:2] + inside + outside[2:] + [INFINITY])
+    root = ET.fromstring(render_svg(build_diagram(lo, hi, 5), [PointOverlay(values)]))
+    group = [g for g in root.findall(f"{SVG_NS}g") if g.get("class") == "family-points"][0]
+    xs = [float(c.get("cx")) for c in group.findall(f"{SVG_NS}circle")]
+    assert len(xs) == len(inside)
+    assert all(24 - 1e-9 <= x <= 696 + 1e-9 for x in xs)
 
 
 def test_funnel_overlay_draws_strip_and_ray():

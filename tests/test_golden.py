@@ -42,7 +42,7 @@ README_GOLDEN = [
      "165bf9f01ec345c41df08ca41e14f52dd8ced02c6d6bea41a9614df2b07de8ed", None, None),
     (("lines", "[0;3,_,4]", "--svg", "fam.svg"), 0,
      "73bdab433dffe05efe011dfe9eceb6e0ee6c12eb1b5ef03155030972a12b5b84",
-     "fam.svg", "da4389d452246ebb930ac81a773cf28597df67175c58c981d4a3b5a9c68842a1"),
+     "fam.svg", "931c991314b1eb30e3d34a6b3d7b17b3c4f34f9db3b2ebd8d537b9af02482376"),
     (("diagram", "--window", "0..1", "--max-denom", "60", "--svg", "diagram.svg"), 0,
      "575b0e40418d979fb0b08c1b310725c14c1c40b00f8714e911ae9ffa42e3b913",
      "diagram.svg", "80a496690d0c1d881bd8e4a4c9e9ee2d6928244b97e1152220ebf9505572d246"),
@@ -76,10 +76,10 @@ EXTRA_GOLDEN = [
     # [0;2,_] leave through the top corners, next to a partner family.
     (("lines", "[0;_,3]", "--svg", "corner.svg"), 0,
      "19a1a0542ef19134786f4b54da0c6df5f34bcae30dacb86f7355551e73c214d2",
-     "corner.svg", "4b5929e0df888c33ab76d17e7d0015c3925ea174138bd8c02ffefbd722e7acfe"),
+     "corner.svg", "ecc3a3f629c51f0f4145635cb7299dfe4a9564cc547c826c71b569452f6743c4"),
     (("lines", "[1;_]", "--svg", "plus-corner.svg"), 0,
      "b71e1170baedc6a54ad1174d98daf5723cb2b2fba856cd0f8b3c07be7991fdff",
-     "plus-corner.svg", "5fb7aef7d9b942c7f0cc83382bc0f430bc1dea80cf33bae220c7559b52649710"),
+     "plus-corner.svg", "0053ee34569828358ba70251f814189906a00265fbe89e8449843507a25b0439"),
     (("lines", "[0;2,_]", "--svg", "top-corners.svg"), 0,
      "6818262c8177d71ccf9d05c1a292cb3fc1e401639f234f91bae4e97d40146a42",
      "top-corners.svg", "8abb3ece4279bc2f24974ff1e5444b6b12d86367fdba8f6becfe15feba5659f2"),
@@ -92,7 +92,7 @@ EXTRA_GOLDEN = [
      "sides.svg", "6be95d0f0df72d3ab82928e243a384296bff1b20af6af13c2f68831822f25886"),
     (("lines", "[-1;1,_,3]", "--svg", "neg-side.svg"), 0,
      "f0e0a397cfafd89d4e8ea97cf784f61afea2af8ddbf572eb7d9c60ded54b1f57",
-     "neg-side.svg", "79eaee5be12fce496e403dc1402eccb294b8220c9f1064048e873351b4146148"),
+     "neg-side.svg", "84f0cb3c06c92cd06c1e11efde392ab7d0a54f88ac7c9a8cb3246b8724fe6abc"),
     # A funnel of three fans off a nonzero a0, in text and JSON.
     (("funnel", "355/113"), 0,
      "26a8c7b05ee5578509654d9338eb2df7191e0ceecad0bce6aa3320e61ef81ab6", None, None),
@@ -103,7 +103,7 @@ EXTRA_GOLDEN = [
     (("lines", "[0;3,_,4]", "--range", "-2000..1999", "--max-denom", "10", "--svg",
       "dedupe.svg"), 0,
      "e61439d4b914d715284a0b68cd13b28fb4e41bc253f085a7597345a36a9cdd87",
-     "dedupe.svg", "32160b9362c0f38cdfd05606e4b459ce69c9005515f2977ccbfa175d8aa82c35"),
+     "dedupe.svg", "b2efd61af1e653cdbba2fe255ebcb550008ca2644e5a12e1109b8d4385e88abc"),
     # A degree-1 family: the "(n=1: root at 0)" suffix, a 1/0 member and no
     # partner line.
     (("lines", "[0;_]", "--range", "-2..2"), 0,
