@@ -287,5 +287,5 @@ class LineFamily(_Frozen):
 
 
 def line_family(seq: ContinuedFraction, slot: int) -> LineFamily:
-    """LineFamily(seq, slot), under the name the package has always exported."""
+    """The same as LineFamily(seq, slot), as a function."""
     return LineFamily(seq, slot)
