@@ -506,6 +506,51 @@ class TestVerifierRecount:
         ]
 
 
+class TestClauseDetails:
+    """The exact detail of each clause, passing and failing; `funnel`
+    prints these verbatim."""
+
+    @staticmethod
+    def raised(f, v):
+        bad = dict(f.indices)
+        bad[v] += 1
+        return Funnel(f.alpha, f.expansion, f.triangles, f.left_edge, f.right_edge,
+                      MappingProxyType(bad))
+
+    # 13/30 = [0;2,3,4]: pivots c_0 = 0, c_1 = 1/2, c_2 = 3/7.
+    PASSING_13_30 = ["c_0..c_2 alternate left/right", "index(c_0)=2, index(c_2)=4",
+                     "all interior pivots match"]
+
+    def test_13_30_passing(self):
+        report = verify_funnel_theorem(funnel(R(13, 30)))
+        assert [c.name for c in report.clauses] == [
+            "convergent sides", "end indices", "interior indices"]
+        assert all(c.passed for c in report.clauses)
+        assert [c.detail for c in report.clauses] == self.PASSING_13_30
+
+    @pytest.mark.parametrize("pivot, clause, detail", [
+        (R(0), 1, "index(c_0)=3, expected a_1=2"),
+        (R(3, 7), 1, "index(c_2)=5, expected a_n=4"),
+        (R(1, 2), 2, "index(c_1)=5, expected 1+a_2=4"),
+    ], ids=["c_0", "c_2", "c_1"])
+    def test_13_30_one_index_raised(self, pivot, clause, detail):
+        report = verify_funnel_theorem(self.raised(funnel(R(13, 30)), pivot))
+        # The recount fails too, as a fourth clause.
+        assert [c.passed for c in report.clauses] == [i != clause for i in range(3)] + [False]
+        expected = list(self.PASSING_13_30)
+        expected[clause] = detail
+        assert [c.detail for c in report.clauses[:3]] == expected
+
+    def test_1_3_passing_repeats_c_0(self):
+        # [0;3] has one pivot, c_0, which is both ends; its detail names it twice.
+        report = verify_funnel_theorem(funnel(R(1, 3)))
+        assert [(c.name, c.passed, c.detail) for c in report.clauses] == [
+            ("convergent sides", True, "c_0..c_0 alternate left/right"),
+            ("end indices", True, "index(c_0)=3, index(c_0)=3"),
+            ("interior indices", True, "vacuous"),
+        ]
+
+
 class TestRecountOrientation:
     """The recount reads each triangle's edges whatever the order of its
     vertices, so reordering them leaves a correct funnel correct."""
