@@ -183,12 +183,6 @@ def _cmd_funnel(args) -> str:
     report = diagram.verify_funnel_theorem(f)
     # Increasing order: left < alpha < right, left ascends, right descends.
     indexed = (*f.left_edge, *reversed(f.right_edge))
-    # Every strip vertex is one object, on an edge or alpha itself, the
-    # bottom vertex; each is named once.  A triangle corner that is not one
-    # of these objects, though it may equal one, is named afresh.
-    names = {id(v): str(v) for v in (*indexed, f.alpha)}
-    corners = [(names.get(id(a)) or str(a), names.get(id(m)) or str(m), names.get(id(b)) or str(b))
-               for a, m, b in f.triangles]
     clauses = [f"clause ({c.name}): {'pass' if c.passed else 'FAIL'} [{c.detail}]"
                for c in report.clauses]
     # An edge vertex missing from the index map prints as "?" (null in
@@ -199,8 +193,8 @@ def _cmd_funnel(args) -> str:
             {
                 "base": str(f.alpha),
                 "terms": list(f.expansion.terms),
-                "triangles": corners,
-                "indices": {names[id(v)]: f.indices.get(v) for v in indexed},
+                "triangles": [list(map(str, t)) for t in f.triangles],
+                "indices": {str(v): f.indices.get(v) for v in indexed},
             }
         )
     elif args.svg is not None:
@@ -214,10 +208,10 @@ def _cmd_funnel(args) -> str:
         out = "\n".join([
             f"funnel of {f.alpha} = {f.expansion}",
             "triangles (top to bottom):",
-            *[f"  {a} {m} {b}" for a, m, b in corners],
-            "left edge:  " + " ".join([names[id(v)] for v in f.left_edge]),
-            "right edge: " + " ".join([names[id(v)] for v in f.right_edge]),
-            "indices:    " + " ".join([f"{names[id(v)]}:{f.indices.get(v, '?')}" for v in indexed]),
+            *[f"  {a} {m} {b}" for a, m, b in f.triangles],
+            "left edge:  " + " ".join(map(str, f.left_edge)),
+            "right edge: " + " ".join(map(str, f.right_edge)),
+            "indices:    " + " ".join([f"{v}:{f.indices.get(v, '?')}" for v in indexed]),
             *clauses,
         ])
     if args.json or args.svg is not None:

@@ -288,17 +288,15 @@ def verify_funnel_theorem(seq: ContinuedFraction | Funnel) -> FunnelTheoremRepor
     left = {(v.num, v.den) for v in f.left_edge}
     right = {(v.num, v.den) for v in f.right_edge}
 
+    def clause(name: str, misses: list[str], passed: str) -> ClauseResult:
+        return ClauseResult(name, not misses, "; ".join(misses) or passed)
+
     side_misses = []
     for j in range(n):
         ok = (cs[j].num, cs[j].den) in (left if j % 2 == 0 else right)
         if not ok:
             want = "left" if j % 2 == 0 else "right"
             side_misses.append(f"c_{j}={cs[j]} not on {want} edge")
-    clause1 = ClauseResult(
-        "convergent sides",
-        not side_misses,
-        "; ".join(side_misses) or f"c_0..c_{n - 1} alternate left/right",
-    )
 
     end_misses = []
     i0 = f.indices.get(cs[0])
@@ -307,27 +305,21 @@ def verify_funnel_theorem(seq: ContinuedFraction | Funnel) -> FunnelTheoremRepor
     ilast = f.indices.get(cs[n - 1])
     if ilast != terms[n]:
         end_misses.append(f"index(c_{n - 1})={ilast}, expected a_n={terms[n]}")
-    clause2 = ClauseResult(
-        "end indices",
-        not end_misses,
-        "; ".join(end_misses) or f"index(c_0)={i0}, index(c_{n - 1})={ilast}",
-    )
 
     mid_misses = []
     for j in range(1, n - 1):
         ij = f.indices.get(cs[j])
         if ij != 1 + terms[j + 1]:
             mid_misses.append(f"index(c_{j})={ij}, expected 1+a_{j + 1}={1 + terms[j + 1]}")
-    clause3 = ClauseResult(
-        "interior indices",
-        not mid_misses,
-        "; ".join(mid_misses) or ("vacuous" if n < 3 else "all interior pivots match"),
-    )
 
-    clauses = (clause1, clause2, clause3)
+    clauses = (
+        clause("convergent sides", side_misses, f"c_0..c_{n - 1} alternate left/right"),
+        clause("end indices", end_misses, f"index(c_0)={i0}, index(c_{n - 1})={ilast}"),
+        clause("interior indices", mid_misses, "vacuous" if n < 3 else "all interior pivots match"),
+    )
     recount_misses = _index_recount_misses(f)
     if recount_misses:
-        clauses += (ClauseResult("index recount", False, "; ".join(recount_misses)),)
+        clauses += (clause("index recount", recount_misses, ""),)
     return FunnelTheoremReport(seq, f.alpha, clauses)
 
 

@@ -7,8 +7,8 @@ which is increasing in the exact values.  One helper places every vertex
 mark, whether a diagram vertex, a funnel triangle's corner or a point
 overlay's circle: a vertex p/q is drawn at (p/q, 1/q), its x formatted
 from p/q and its y and circle radius once per denominator q.  Each
-diagram vertex is formatted once; edges and funnel triangles reuse those
-texts.  A point overlay gives its vertices by their values p/q.
+diagram vertex is formatted once and edges reuse those texts; funnel
+corners and a point overlay's values p/q are formatted as they are met.
 
 The styling is fixed: the window [lo, hi] x [0, 1] is drawn 720 px wide
 with a 24 px margin, and every stroke, fill and radius is a constant.  The
@@ -107,9 +107,9 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
             yr = by_den[q] = (_fmt(_MARGIN + (1.0 - 1 / q) * scale), _fmt(max(1.2, 8.0 / q)))
         return _fmt(_MARGIN + (v.num / q - x0) * scale), yr[0]
 
-    # One pass over the vertices formats each once.  Edges and triangles
-    # read their ends back by identity; an end that is not one of the
-    # vertex objects, though it may equal one, is formatted afresh.
+    # One pass over the vertices formats each once.  Edges read their ends
+    # back by identity; an end that is not one of the vertex objects,
+    # though it may equal one, is formatted afresh.
     at: dict[int, tuple[str, str]] = {}
     circles = []
     for v in diagram.vertices:
@@ -145,7 +145,7 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
             out.append('<g class="funnel" fill="#ffd9ec" fill-opacity="0.55" '
                        'stroke="#c2185b" stroke-width="0.9">')
             for tri in ov.funnel.triangles:
-                pts = " ".join(f"{x},{y}" for x, y in map(text, tri))
+                pts = " ".join(f"{x},{y}" for x, y in map(vertex, tri))
                 out.append(f'<polygon points="{pts}"/>')
             ray_x = px(ov.funnel.alpha)
             out.append(f'<line x1="{ray_x}" y1="{py(1)}" x2="{ray_x}" y2="{py(0)}" '

@@ -126,8 +126,9 @@ def test_coordinates_use_six_significant_digits():
 
 
 class TestFormatOncePerVertex:
-    """render_svg formats each vertex once and each denominator's y and r
-    once, and reads edge and triangle ends back by identity."""
+    """render_svg formats each diagram vertex once and each denominator's
+    y and r once, and reads edge ends back by identity; funnel corners go
+    through the same helper, so equal but distinct objects render alike."""
 
     @staticmethod
     def copied(v):
