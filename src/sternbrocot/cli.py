@@ -19,11 +19,12 @@ between text and int only up to Python's int/text digit limit
 quadratic conversions stays on): a longer input integer is a parse error
 (2), a result integer too long to print is a domain error (3).  SVG
 windows are drawn at density at most MAX_SVG_DENOM = 400 (--max-denom;
-`funnel --svg` of p/q draws at max(--max-denom, q), and refuses before
-building the funnel), and no window may cost more than a unit window at
-that cap: (hi - lo) * density^2 <= 400^2, so `diagram --window 0..2` is
-drawn up to density 282 and `-1000..1000` up to density 8.  A denser or
-wider window is a domain error (3) and writes no file.  The same budget,
+`funnel --svg` of p/q draws at max(--max-denom, q)), and no window may
+cost more than a unit window at that cap: (hi - lo) * density^2 <= 400^2,
+so `diagram --window 0..2` is drawn up to density 282 and `-1000..1000`
+up to density 8.  A denser or wider window is a domain error (3) and writes
+no file; all three SVG commands refuse it before any funnel, member value
+or overlay is built.  The same budget,
 400^2 = 160,000, bounds the two commands whose work grows with an input's
 value: `funnel` of p/q refuses a strip of more than 160,000 triangles
 (a_1 + ... + a_n - 1 for its standard expansion, so `funnel 1/160001`
@@ -116,25 +117,15 @@ def _check_budget(cost, what: str) -> None:
         raise DomainError(f"{what} must be at most {MAX_SVG_DENOM}^2, a unit window at the cap")
 
 
-def _check_svg_density(max_den: int) -> None:
+def _svg_window(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
+    """Build the window [lo, hi] at density max_den, refused above the cap."""
+    from . import diagram
+
     if max_den > MAX_SVG_DENOM:
         raise DomainError(
             f"SVG window density {max_den} is above the cap of {MAX_SVG_DENOM} "
             "(--max-denom; funnel --svg of p/q draws at least q)"
         )
-
-
-def _write_window_svg(
-    path: str,
-    lo: ExtendedRational,
-    hi: ExtendedRational,
-    max_den: int,
-    overlays: tuple[Overlay, ...] | list[Overlay] = (),
-) -> Diagram:
-    """Build the window [lo, hi], draw it with the overlays and write the SVG."""
-    from . import diagram, figures
-
-    _check_svg_density(max_den)
     # A window's work grows as (hi - lo) * max_den^2, passed rounded up: the
     # budget B is an integer and x > B iff ceil(x) > B.  Windows
     # build_diagram rejects are left to it.
@@ -143,14 +134,20 @@ def _write_window_svg(
         _check_budget(-(-width * max_den ** 2 // (lo.den * hi.den)),
                       f"SVG window {lo}..{hi} at density {max_den} is too large: "
                       "(hi - lo) * density^2")
-    d = diagram.build_diagram(lo, hi, max_den)
+    return diagram.build_diagram(lo, hi, max_den)
+
+
+def _write_svg(path: str, d: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] = ()) -> str:
+    """Draw the window with the overlays and write the SVG."""
+    from . import figures
+
     svg = figures.render_svg(d, overlays)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
-    return d
+    return f"wrote {path}"
 
 
 def _hole_text(fam: LineFamily) -> str:
@@ -174,9 +171,11 @@ def _cmd_funnel(args) -> str:
     from . import diagram
 
     alpha = ExtendedRational.parse(args.rational)
-    if args.svg is not None:
-        _check_svg_density(max(args.max_denom, alpha.den))
     if not alpha.is_infinite:  # diagram.funnel words the refusal of 1/0
+        if args.svg is not None:
+            a0 = alpha.num // alpha.den
+            window = _svg_window(ExtendedRational(a0), ExtendedRational(a0 + 1),
+                                 max(args.max_denom, alpha.den))
         strip = sum(contfrac.standard_expansion(alpha).terms[1:]) - 1
         _check_budget(strip, "funnel is too large: its number of triangles")
     f = diagram.funnel(alpha)
@@ -200,10 +199,7 @@ def _cmd_funnel(args) -> str:
     elif args.svg is not None:
         from . import figures
 
-        a0 = f.expansion.terms[0]
-        _write_window_svg(args.svg, ExtendedRational(a0), ExtendedRational(a0 + 1),
-                          max(args.max_denom, alpha.den), [figures.FunnelOverlay(f)])
-        out = f"wrote {args.svg}"
+        out = _write_svg(args.svg, window, [figures.FunnelOverlay(f)])
     else:
         out = "\n".join([
             f"funnel of {f.alpha} = {f.expansion}",
@@ -242,6 +238,8 @@ def _cmd_lines(args) -> str:
     if args.svg is not None:
         from . import figures
 
+        a0 = fam.base.terms[0]
+        window = _svg_window(ExtendedRational(a0), ExtendedRational(a0 + 1), args.max_denom)
         overlays: list[Overlay] = [
             figures.LineOverlay(plus),
             figures.LineOverlay(minus),
@@ -251,10 +249,7 @@ def _cmd_lines(args) -> str:
         if partner is not None:
             overlays.append(figures.PointOverlay(tuple(map(partner.value, members)),
                                                  color="#d4a017"))
-        a0 = fam.base.terms[0]
-        _write_window_svg(args.svg, ExtendedRational(a0), ExtendedRational(a0 + 1),
-                          args.max_denom, overlays)
-        return f"wrote {args.svg}"
+        return _write_svg(args.svg, window, overlays)
 
     if args.json:
         return _json_text(
@@ -289,8 +284,8 @@ def _cmd_lines(args) -> str:
 
 
 def _cmd_diagram(args) -> str:
-    lo, hi = _parse_window(args.window)
-    d = _write_window_svg(args.svg, lo, hi, args.max_denom)
+    d = _svg_window(*_parse_window(args.window), args.max_denom)
+    _write_svg(args.svg, d)
     return (
         f"diagram [{d.lo}, {d.hi}] max_den={d.max_den}: "
         f"{len(d.vertices)} vertices, {len(d.edges)} edges, "

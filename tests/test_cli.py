@@ -191,6 +191,16 @@ class TestLinesCommand:
         assert len(calls) == 1  # the m = 1 point of the line pair
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lines", "[0;3,_,4]", "--range=5..1"], "empty range '5..1'"),
+    (["eval", "[1;]"], "empty term list after ';': '[1;]'"),
+    (["eval", "[0;_,2]"], "hole '_' is only valid in a line-family sequence"),
+], ids=["empty-range", "empty-term-list", "hole-outside-lines"])
+def test_parse_refusal_is_exit_2_with_one_line(argv, message, capsys):
+    assert run(argv) == 2
+    assert out_of(capsys) == ("", f"error: {message}\n")
+
+
 class TestDiagramCommand:
     def test_svg_written_and_summary_printed(self, tmp_path, capsys):
         target = tmp_path / "diagram.svg"
@@ -534,6 +544,35 @@ class TestFunnelSvgRefusedBeforeWork:
         out, err = out_of(capsys)
         assert out == ""
         assert err.startswith("error: SVG window density 100000 ") and err.count("\n") == 1
+        assert not target.exists()
+
+
+class TestLinesSvgRefusedBeforeWork:
+    @pytest.mark.parametrize("density, message", [
+        ("401", "error: SVG window density 401 "),
+        ("0", "error: max_den must be positive\n"),
+    ], ids=["above-the-cap", "zero"])
+    def test_a_refused_window_builds_no_member_value(self, density, message, tmp_path, capsys,
+                                                     monkeypatch):
+        from sternbrocot.lines import LineFamily
+
+        original = LineFamily.value
+        built = []
+
+        def value(fam, m):
+            # The line pair's m = 1 point is the one value built before the window.
+            if built:
+                raise AssertionError("a member value was built")
+            built.append(m)
+            return original(fam, m)
+
+        monkeypatch.setattr(LineFamily, "value", value)
+        target = tmp_path / "F.svg"
+        assert run(["lines", "[0;3,_,4]", "--range=-80000..79999", f"--max-denom={density}",
+                    "--svg", str(target)]) == 3
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
         assert not target.exists()
 
 

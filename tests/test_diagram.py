@@ -550,6 +550,18 @@ class TestClauseDetails:
             ("interior indices", True, "vacuous"),
         ]
 
+    def test_13_30_as_dict(self):
+        assert verify_funnel_theorem(funnel(R(13, 30))).as_dict() == {
+            "sequence": "[0;2,3,4]",
+            "alpha": "13/30",
+            "clauses": [
+                {"name": "convergent sides", "passed": True,
+                 "detail": "c_0..c_2 alternate left/right"},
+                {"name": "end indices", "passed": True, "detail": "index(c_0)=2, index(c_2)=4"},
+                {"name": "interior indices", "passed": True, "detail": "all interior pivots match"},
+            ],
+        }
+
 
 class TestRecountOrientation:
     """The recount reads each triangle's edges whatever the order of its

@@ -107,6 +107,11 @@ def test_funnel_overlay_draws_strip_and_ray():
     assert len(fgroup.findall(f"{SVG_NS}line")) == 1  # the dashed defining ray
 
 
+def test_an_unknown_overlay_is_a_type_error():
+    with pytest.raises(TypeError, match="unknown overlay 'circle'"):
+        render_svg(small_diagram(), ["circle"])
+
+
 def test_a_window_floats_cannot_tell_apart_is_a_domain_error():
     with pytest.raises(DomainError, match="SVG window"):
         render_svg(build_diagram(R(10**20), R(10**20 + 1), 2))
