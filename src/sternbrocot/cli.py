@@ -24,7 +24,8 @@ cost more than a unit window at that cap: (hi - lo) * density^2 <= 400^2,
 so `diagram --window 0..2` is drawn up to density 282 and `-1000..1000`
 up to density 8.  A denser or wider window is a domain error (3) and writes
 no file; all three SVG commands refuse it before any funnel, member value
-or overlay is built.  The same budget,
+or overlay is built, and then refuse an --svg path in a missing directory
+(2) before the window is built.  The same budget,
 400^2 = 160,000, bounds the two commands whose work grows with an input's
 value: `funnel` of p/q refuses a strip of more than 160,000 triangles
 (a_1 + ... + a_n - 1 for its standard expansion, so `funnel 1/160001`
@@ -117,8 +118,10 @@ def _check_budget(cost, what: str) -> None:
         raise DomainError(f"{what} must be at most {MAX_SVG_DENOM}^2, a unit window at the cap")
 
 
-def _svg_window(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
-    """Build the window [lo, hi] at density max_den, refused above the cap."""
+def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
+    """Build the window [lo, hi] at density max_den for an SVG at path,
+    refused above the cap or, in open()'s words, when path's directory is
+    missing; the file itself is first opened by _write_svg."""
     from . import diagram
 
     if max_den > MAX_SVG_DENOM:
@@ -134,6 +137,11 @@ def _svg_window(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Dia
         _check_budget(-(-width * max_den ** 2 // (lo.den * hi.den)),
                       f"SVG window {lo}..{hi} at density {max_den} is too large: "
                       "(hi - lo) * density^2")
+    directory = (os.path.dirname(path) or os.curdir) if path else ""
+    try:  # the trailing separator makes stat refuse a file as the directory
+        os.stat(os.path.join(directory, ""))
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     return diagram.build_diagram(lo, hi, max_den)
 
 
@@ -171,10 +179,10 @@ def _cmd_funnel(args) -> str:
     from . import diagram
 
     alpha = ExtendedRational.parse(args.rational)
-    if not alpha.is_infinite:  # diagram.funnel words the refusal of 1/0
+    if alpha.den > 1:  # diagram.funnel words the refusal of 1/0 and integers
         if args.svg is not None:
             a0 = alpha.num // alpha.den
-            window = _svg_window(ExtendedRational(a0), ExtendedRational(a0 + 1),
+            window = _svg_window(args.svg, ExtendedRational(a0), ExtendedRational(a0 + 1),
                                  max(args.max_denom, alpha.den))
         strip = sum(contfrac.standard_expansion(alpha).terms[1:]) - 1
         _check_budget(strip, "funnel is too large: its number of triangles")
@@ -239,7 +247,8 @@ def _cmd_lines(args) -> str:
         from . import figures
 
         a0 = fam.base.terms[0]
-        window = _svg_window(ExtendedRational(a0), ExtendedRational(a0 + 1), args.max_denom)
+        window = _svg_window(args.svg, ExtendedRational(a0), ExtendedRational(a0 + 1),
+                             args.max_denom)
         overlays: list[Overlay] = [
             figures.LineOverlay(plus),
             figures.LineOverlay(minus),
@@ -284,7 +293,7 @@ def _cmd_lines(args) -> str:
 
 
 def _cmd_diagram(args) -> str:
-    d = _svg_window(*_parse_window(args.window), args.max_denom)
+    d = _svg_window(args.svg, *_parse_window(args.window), args.max_denom)
     _write_svg(args.svg, d)
     return (
         f"diagram [{d.lo}, {d.hi}] max_den={d.max_den}: "

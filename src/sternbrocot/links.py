@@ -13,11 +13,18 @@ p^{-1}, -p^{-1}.  The canonical representative picked here is the
 numerically smallest member of that class in [1, q-1]; it always lands
 in (0, 1/2], so its expansion has a1 >= 2.
 
-The class needs no modular inverse.  If x/q = [0; b1, ..., bk] with
-x <= q/2, the last-but-one convergent denominator K of that expansion
-satisfies x*K = +-1 (mod q) and K/q = [0; bk, ..., b1]: the inverse class
-member names the reversed expansion.  One Euclidean pass on x/q therefore
-yields both members in (0, 1/2] and their expansions.
+The class needs no modular inverse.  With C the continuant, x/q in (0, 1)
+with expansion [0; b1, ..., bk] and K = C(b1, ..., b_{k-1}), the determinant
+of (0 1; 1 b1)...(0 1; 1 bk) gives x*K = +-1 (mod q), and K/q is
+[0; bk, ..., b1].  If b1 = 1, q - x = [0; b2 + 1, b3, ...] takes over with
+the same K; K wins, reversed, when it is smaller still.
+
+link_family runs no Euclid over a whole member: K(m) = C(a1, ..., m, ...,
+a_{n-1}) is affine in m, taken as min(K, -K) mod q.  For m >= 2, or m = 1
+before the last slot, the member's own terms are its expansion; otherwise
+Euclid runs from the last tail [c_h; ..., cn] above 1 (from p mod q if none
+is) until its state is a suffix's continuant pair (C(a_k, ..., an),
+C(a_{k+1}, ..., an)), k past the slot, and copies a_k, ..., an.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .contfrac import ContinuedFraction, evaluate
+from .contfrac import ContinuedFraction, continuant_product, evaluate
 from .errors import DomainError
 from .rationals import ExtendedRational
 
@@ -127,10 +134,10 @@ def canonical_fraction(x: ExtendedRational) -> CanonicalForm:
     expansion therefore starts with a1 >= 2.  0/1 is the trivial fraction.
 
     One Euclidean pass finds the minimum.  With r = p mod q, expand
-    x/q = [0; b1, ..., bk] for x = min(r, q - r); the last-but-one
-    convergent denominator K is +-p^{-1} mod q, at most q/2, and
-    K/q = [0; bk, ..., b1].  The result is x/q with the computed terms, or
-    K/q with them reversed when K < x.
+    r/q = [0; b1, ..., bk]; the last-but-one convergent denominator K is
+    +-p^{-1} mod q and at most q/2.  The result is the smaller of K and
+    x = min(r, q - r), each over q, with its expansion (see the module
+    docstring).
     """
     if x.is_infinite:
         raise DomainError("1/0 does not classify a 2-bridge link")
@@ -140,20 +147,28 @@ def canonical_fraction(x: ExtendedRational) -> CanonicalForm:
             return CanonicalForm(ExtendedRational(0), ContinuedFraction((0,)))
         raise DomainError(f"nonzero integer {x} does not classify a 2-bridge link")
     r = x.num % q
-    low = min(r, q - r)
     terms = []
-    a, b = q, low
-    k0, k1 = 0, 1  # consecutive convergent denominators of low/q
+    a, b = q, r
+    k0, k1 = 0, 1  # consecutive convergent denominators of r/q
     while b:
         t, rem = divmod(a, b)
         terms.append(t)
         k0, k1 = k1, t * k1 + k0
         a, b = b, rem
-    if k0 < low:
-        low = k0
-        terms.reverse()
-    # low is +-p and K is +-p^{-1} mod q, both units mod q; the terms are
-    # int quotients.
+    return _class_minimum(r, q, terms, k0)
+
+
+def _class_minimum(r: int, q: int, terms: list[int], k: int) -> CanonicalForm:
+    """The canonical form of the class of r/q = [0; *terms] in (0, 1), given
+    its inverse-side member k in [1, q/2]."""
+    low = r
+    if terms[0] == 1:  # r > q/2, and q - r = [0; b2 + 1, b3, ...]
+        low = q - r
+        terms = [terms[1] + 1, *terms[2:]]
+    if k < low:
+        low = k
+        terms = terms[::-1]
+    # low and k are units mod q; the terms are int quotients.
     return CanonicalForm(ExtendedRational._from_coprime(low, q),
                          ContinuedFraction._from_terms((0, *terms)))
 
@@ -175,16 +190,55 @@ def link_family(
     """Map each m to the canonical 2-bridge fraction of D(a1, ..., m, ..., an).
 
     Members whose value is 1/0 or an integer (0/1 included) are flagged
-    degenerate instead of classified.
+    degenerate; the others get canonical_fraction(value), read off the
+    family's continuants (see the module docstring).
     """
     from .lines import line_family  # here, so that links alone does not load lines
 
     if seq.terms[0] != 0:
         raise DomainError("plat families need a leading term of 0")
     fam = line_family(seq, slot)
+    body = seq.terms[1:]
+    head, tail = body[:slot - 1], body[slot:]
+    _, _, s, u = continuant_product(head)
+    v0, v, w0, w = continuant_product(tail)
+    k1, k0 = u * w0, s * w0 + u * v0  # K(m) = C(a1, ..., m, ..., a_{n-1})
+    suffix_at = {}  # Euclid's state (C(*body[j:]), C(*body[j + 1:])) -> j, past the slot
+    a, b = 1, 0
+    for j in range(len(body) - 1, slot - 1, -1):
+        a, b = body[j] * a + b, a
+        suffix_at[a, b] = j
     out = []
     for m in ms:
         val = fam.value(m)
-        canon = None if val.is_infinite or val.den == 1 else canonical_fraction(val)
-        out.append(LinkFamilyEntry(m, val, canon))
+        q = val.den
+        if q <= 1:  # 1/0 or an integer
+            out.append(LinkFamilyEntry(m, val, None))
+            continue
+        k = k1 * m + k0
+        if m >= 2 or m == 1 and tail:  # the member's own terms are standard
+            terms = [*head, m, *tail]
+        else:
+            k = min(k % q, -k % q)
+            # The tail [m; a_{i+1}, ..., an] as a continuant pair; back up
+            # over the head while the tail is at most 1.
+            a, b, h = m * w + v, w, slot - 1
+            while not (a > b > 0 or a < b < 0):
+                if not h:
+                    a, b = q, val.num % q
+                    break
+                h -= 1
+                a, b = body[h] * a + b, a
+            if b < 0:
+                a, b = -a, -b
+            terms = list(head[:h])
+            while b:
+                at = suffix_at.get((a, b))
+                if at is not None:
+                    terms += body[at:]
+                    break
+                t, rem = divmod(a, b)
+                terms.append(t)
+                a, b = b, rem
+        out.append(LinkFamilyEntry(m, val, _class_minimum(val.num % q, q, terms, k)))
     return tuple(out)

@@ -576,6 +576,75 @@ class TestLinesSvgRefusedBeforeWork:
         assert not target.exists()
 
 
+_INTEGER_5 = ("error: funnel of the integer 5 is degenerate: the defining ray hits the "
+              "diagram vertex above it\n")
+_DENSITY_401 = ("error: SVG window density 401 is above the cap of 400 "
+                "(--max-denom; funnel --svg of p/q draws at least q)\n")
+
+
+class TestEveryRefusalBeforeWork:
+    """A refused SVG run neither builds nor draws a window: it ends in its
+    documented exit code and one stderr line, and leaves the target as it
+    was.  {path} in a line stands for the --svg argument."""
+
+    ROWS = [
+        (["diagram", "--window", "0..1", "--max-denom", "400"], True, 2,
+         "error: cannot write {path}: No such file or directory\n"),
+        (["funnel", "1/400"], True, 2, "error: cannot write {path}: No such file or directory\n"),
+        (["lines", "[0;3,_,4]", "--max-denom", "400"], True, 2,
+         "error: cannot write {path}: No such file or directory\n"),
+        (["diagram", "--window", "0..1", "--max-denom", "401"], True, 3, _DENSITY_401),
+        (["funnel", "5", "--max-denom", "400"], True, 3, _INTEGER_5),
+        (["funnel", "5", "--max-denom", "400"], False, 3, _INTEGER_5),
+        (["funnel", "5", "--max-denom", "401"], False, 3, _INTEGER_5),
+        (["funnel", "1/0"], False, 3, "error: funnels are defined for finite rationals\n"),
+        (["funnel", "1/401"], False, 3, _DENSITY_401),
+        (["diagram", "--window", "0..1", "--max-denom", "401"], False, 3, _DENSITY_401),
+        (["diagram", "--window", "0..2", "--max-denom", "400"], False, 3,
+         "error: SVG window 0..2 at density 400 is too large: (hi - lo) * density^2 "
+         "must be at most 400^2, a unit window at the cap\n"),
+        (["lines", "[0;3,_,4]", "--max-denom", "401"], False, 3, _DENSITY_401),
+        (["lines", "[0;3,_,4]", "--range=0..160000"], False, 3,
+         "error: --range is too large: its number of members must be at most 400^2, "
+         "a unit window at the cap\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, in_missing_dir, code, line", ROWS, ids=[
+        " ".join(argv) + (" in a missing dir" if missing else "") for argv, missing, _, _ in ROWS])
+    def test_refused_without_a_window(self, argv, in_missing_dir, code, line, tmp_path,
+                                      capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a window was built or drawn")
+
+        monkeypatch.setattr(diagram, "build_diagram", boom)
+        monkeypatch.setattr(figures, "render_svg", boom)
+        if in_missing_dir:
+            target = tmp_path / "missing" / "out.svg"
+        else:
+            target = tmp_path / "F.svg"
+            target.write_text("kept")
+        assert run([*argv, "--svg", str(target)]) == code
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == line.format(path=target)
+        if in_missing_dir:
+            assert not target.parent.exists()
+        else:
+            assert target.read_text() == "kept"
+
+    def test_a_file_as_the_directory_is_refused_before_the_window(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a window was built")
+
+        monkeypatch.setattr(diagram, "build_diagram", boom)
+        (tmp_path / "file").write_text("kept")
+        target = tmp_path / "file" / "out.svg"
+        assert run(["diagram", "--window", "0..1", "--svg", str(target)]) == 2
+        assert out_of(capsys)[1] == f"error: cannot write {target}: Not a directory\n"
+        assert (tmp_path / "file").read_text() == "kept"
+
+
 class TestSvgWindowSizeCap:
     # -1/2..3/2 at 283 costs 2 * 283^2 = 160178 > 400^2, with fractional ends.
     @pytest.mark.parametrize("window, density", [("-1000..1000", "60"), ("0..2", "400"),

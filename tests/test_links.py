@@ -252,3 +252,131 @@ class TestLinkFamily:
     def test_requires_leading_zero(self):
         with pytest.raises(DomainError):
             link_family(CF((1, 3, 2)), 2, [1])
+
+
+def tail_value(terms, h):
+    """[c_h; c_{h+1}, ..., c_n] of the body terms (c_1, ..., c_n) as a Fraction,
+    None for 1/0."""
+    num, den = 1, 0
+    for c in reversed(terms[h - 1:]):
+        num, den = c * num + den, num
+    return None if den == 0 else Fraction(num, den)
+
+
+def frac_value(terms):
+    """ExtendedRational of [0; *terms] by the independent recursion."""
+    return R(*recursive_pair((0, *terms)))
+
+
+def assert_family_classified(body, slot, ms):
+    """Each link_family entry is canonical_fraction of its value, and its
+    fraction is the Schubert class minimum."""
+    entries = link_family(CF((0, *body)), slot, ms)
+    assert [e.m for e in entries] == list(ms)
+    for e in entries:
+        q = e.value.den
+        assert e.degenerate == (q <= 1)
+        if q > 1:
+            assert e.canonical == canonical_fraction(e.value), (body, slot, e.m)
+            assert e.canonical.fraction == R(min(schubert_class(e.value.num, q)), q)
+    return entries
+
+
+class TestLinkFamilyFromTerms:
+    """link_family classifies members from the family's continuants; it must
+    agree with canonical_fraction member by member."""
+
+    MS = range(-80, 81)  # straddles D's root, in (-2, 0)
+
+    @pytest.mark.parametrize("kind", ["ones", "ones_and_twos", "large"])
+    def test_seeded_families_every_slot(self, kind):
+        rng = random.Random(f"link-family-{kind}")
+        for n in range(1, 46):
+            if kind == "ones":
+                body = [1] * n
+            elif kind == "ones_and_twos":
+                body = [rng.randint(1, 2) for _ in range(n)]
+            else:
+                body = [rng.choice((1, 2, rng.randint(1, 10 ** 6))) for _ in range(n)]
+            body[-1] = max(body[-1], 2)
+            ms = self.MS if n % 5 == 0 else range(-20, 21)  # the wide range on every fifth n
+            for slot in range(1, n + 1):
+                assert_family_classified(body, slot, ms)
+
+    def test_own_terms_are_the_expansion(self):
+        # m >= 2, or m = 1 short of the last slot: the member's terms are
+        # standard, so they or their reversal name the class minimum.
+        body = (3, 1, 4, 1, 5)
+        for slot in range(1, 6):
+            for m in (1, 2, 7) if slot < 5 else (2, 7):
+                (e,) = assert_family_classified(body, slot, [m])
+                terms = (*body[:slot - 1], m, *body[slot:])
+                got = e.canonical.sequence.terms[1:]
+                if terms[0] == 1:  # q - p = [0; b2 + 1, b3, ...]
+                    terms = (terms[1] + 1, *terms[2:])
+                assert got in (terms, terms[::-1])
+
+    def test_splice_backs_up_over_two_head_terms(self):
+        body, slot, m = (3, 1, 1, 2, 2), 3, -1
+        terms = (*body[:slot - 1], m, *body[slot:])
+        assert tail_value(terms, 3) <= 1 and tail_value(terms, 2) <= 1
+        assert tail_value(terms, 1) > 1
+        (e,) = assert_family_classified(body, slot, [m])
+        assert e.value == frac_value(terms)
+
+    def test_splice_reaches_a_suffix_past_the_slot(self):
+        # m = 0 merges its neighbours: [.., a, 0, b, ..] = [.., a + b, ..].
+        body = (2, 5, 3, 4, 6, 2)
+        (e,) = assert_family_classified(body, 3, [0])
+        assert e.value == frac_value((2, 5 + 4, 6, 2))
+
+    @pytest.mark.parametrize("body", [(2,), (1, 2), (4, 1, 3), (1, 1, 1, 2), (10 ** 6, 7, 2)])
+    def test_head_runs_out_at_slot_1(self, body):
+        # No tail exceeds 1, so Euclid starts from p mod q over q.
+        for e in assert_family_classified(body, 1, range(-12, 1)):
+            x = tail_value((e.m, *body[1:]), 1)
+            assert x is None or x <= 1
+
+    @pytest.mark.parametrize("body", [(2,), (3,), (1, 2), (5, 3), (2, 1, 1, 2), (1, 1, 1, 1, 2)])
+    def test_last_slot_at_one(self, body):
+        n = len(body)
+        (e,) = assert_family_classified(body, n, [1])
+        if n == 1:
+            assert e.degenerate and e.value == R(1)
+        else:
+            assert e.value == frac_value((*body[:-2], body[-2] + 1))
+
+    def test_a_member_costs_a_few_euclid_steps(self, monkeypatch):
+        # Euclid stops at the first suffix state, so each member of a long
+        # family costs a few divmods; a full pass would cost about n each.
+        import sternbrocot.links as links_module
+
+        steps = []
+
+        def counting_divmod(a, b):
+            steps.append(None)
+            return divmod(a, b)
+
+        monkeypatch.setattr(links_module, "divmod", counting_divmod, raising=False)
+        rng = random.Random(11)
+        body = [rng.randint(1, 50) for _ in range(40)] + [2]
+        ms = range(-20, 21)
+        for slot in (1, 2, 20, 41):
+            steps.clear()
+            link_family(CF((0, *body)), slot, ms)
+            assert len(steps) < 4 * len(ms), slot
+        monkeypatch.undo()
+        for slot in (1, 2, 20, 41):
+            assert_family_classified(body, slot, ms)
+
+    def test_infinite_and_integer_members_are_degenerate(self):
+        # [0; 2, m, 2] is 1/0 at m = -1; [0; 2, 1, m, 2] is 1 at m = -1;
+        # [0; m] is 1/0 at m = 0 and an integer at m = +-1.
+        for body, slot, m, value in [((2, 1, 2), 2, -1, R(1, 0)),
+                                     ((2, 1, 1, 2), 3, -1, R(1)),
+                                     ((2,), 1, 0, R(1, 0)),
+                                     ((2,), 1, 1, R(1)),
+                                     ((2,), 1, -1, R(-1))]:
+            (e,) = assert_family_classified(body, slot, [m])
+            assert e.degenerate and e.value == value
+
