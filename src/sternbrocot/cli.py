@@ -25,20 +25,22 @@ so `diagram --window 0..2` is drawn up to density 282 and `-1000..1000`
 up to density 8.  A denser or wider window is a domain error (3) and writes
 no file; all three SVG commands refuse it before any funnel, member value
 or overlay is built, and then refuse an --svg path in a missing directory
-(2) before the window is built.  The same budget,
-400^2 = 160,000, bounds the two commands whose work grows with an input's
-value: `funnel` of p/q refuses a strip of more than 160,000 triangles
-(a_1 + ... + a_n - 1 for its standard expansion, so `funnel 1/160001`
-runs and `funnel 1/160002` does not), and `lines` refuses a --range of more
-than 160,000 members.  Both are checked before any work and end in exit 3
-with one stderr line.  Last, SVG coordinates are floats: a window whose
-ends overflow a float or whose width floats cannot tell from zero (such as
-10^20..10^20+1) is a domain error (3) and writes no file.
+or one that is itself a directory (2) before the window is built.  The
+same budget, 400^2 = 160,000, bounds the two commands whose work grows
+with an input's value: `funnel` of p/q refuses a strip of more than
+160,000 triangles (a_1 + ... + a_n - 1 for its standard expansion, so
+`funnel 1/160001` runs and `funnel 1/160002` does not), and `lines`
+refuses a --range of more than 160,000 members.  Both are checked before
+any work and end in exit 3 with one stderr line.  Last, SVG coordinates
+are floats: a window whose ends overflow a float or whose width floats
+cannot tell from zero (such as 10^20..10^20+1) is a domain error (3) and
+writes no file.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import sys
@@ -121,7 +123,8 @@ def _check_budget(cost, what: str) -> None:
 def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
     """Build the window [lo, hi] at density max_den for an SVG at path,
     refused above the cap or, in open()'s words, when path's directory is
-    missing; the file itself is first opened by _write_svg."""
+    missing or path is a directory; the file itself is first opened by
+    _write_svg."""
     from . import diagram
 
     if max_den > MAX_SVG_DENOM:
@@ -142,6 +145,8 @@ def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: 
         os.stat(os.path.join(directory, ""))
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     return diagram.build_diagram(lo, hi, max_den)
 
 

@@ -7,15 +7,22 @@ sequence F_n, and a window is built on plain integer pairs in two steps.
 A Stern-Brocot search finds the consecutive terms a/b < lo <= c/d of F_n
 in at most n steps.  Then the terms follow one rule: if a/b and c/d are
 consecutive, the next term is (j*c - a)/(j*d - b) with j = (n + b) // d
-(Graham-Knuth-Patashnik, "Concrete Mathematics", exercise 4.61).  The
-Farey neighbours of a vertex x to its right form a chain r_0, r_1, ...,
-where r_0 is x's right Farey parent and r_{j+1} is the mediant of x and
-r_j; the chain decreases towards x (Hatcher, "Topology of Numbers"), and
-its last member within n is x's next term.  Read back from the next term,
-the chain gives x's edges in increasing order, and consecutive members
-give x's triangles (x, r_{j+1}, r_j) in increasing order too.  A window of
-V vertices and E edges thus costs O(V + E) plus at most n search steps,
-and sorts nothing.
+(Graham-Knuth-Patashnik, "Concrete Mathematics", exercise 4.61).  If
+x = a/b has next term c/d, x's right Farey neighbours are
+s_i = (c - i*a)/(d - i*b), i = 0 .. k = (d - 1) // b, in increasing order:
+s_k is x's right Farey parent (x + 1 for an integer x) and each other s_i
+is the mediant of x and s_{i+1} (Hatcher, "Topology of Numbers"), so x's
+edges (x, s_i) and triangles (x, s_{i-1}, s_i) come out in order too.
+Each vertex is one object, found without a lookup: x is the left parent
+of s_0, ..., s_{k-1}, and a vertex's leftmost left neighbour is its left
+parent, so these are first met at x and built there; only s_k exists
+already.  A stack holds the current vertex's chain of right parents that
+lie <= hi, nearest on top, so it is empty exactly when the right parent
+is above hi.  The walk reads s_k off the top, pushes s_{k-1}, ..., s_1
+(the chain of s_0 below s_k) and moves on to s_0, popped when k = 0.  The
+values c/d takes in the search, over the integers up to floor(hi), seed
+the stack.  A window of V vertices and E edges thus costs O(V + E) plus
+at most n search steps, and sorts and hashes nothing.
 
 The funnel of a non-integer rational alpha is the strip of triangles the
 vertical ray {(alpha, t) : t > 0} passes through, ordered top to bottom;
@@ -51,7 +58,7 @@ from typing import Mapping, NamedTuple
 
 from .contfrac import ContinuedFraction, convergents, evaluate, standard_expansion
 from .errors import DegenerateFunnelError, DomainError
-from .rationals import ExtendedRational, _Frozen
+from .rationals import ExtendedRational, _Frozen, _set_den, _set_num
 
 Triangle = tuple[ExtendedRational, ExtendedRational, ExtendedRational]
 Edge = tuple[ExtendedRational, ExtendedRational]
@@ -76,7 +83,11 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
     triangles (x, m, y) with x < m < y in lexicographic order.  The walk
     starts from consecutive terms a/b < lo <= c/d, found by a
     Stern-Brocot search from k < lo <= k + 1 that stops once the mediant's
-    denominator exceeds max_den, and steps by the next-term rule.
+    denominator exceeds max_den, and steps by the next-term rule.  A
+    vertex's right neighbours other than its right parent have it as
+    their left parent, so they are built at it; its right parent is the
+    top of a stack that holds its chain of right parents up to hi,
+    nearest on top.
     """
     if lo.is_infinite or hi.is_infinite:
         raise DomainError("diagram windows must be finite")
@@ -86,51 +97,65 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
         raise DomainError("max_den must be positive")
 
     lo_p, lo_q, hi_p, hi_q = lo.num, lo.den, hi.num, hi.den
+    new = ExtendedRational._from_coprime
     k = -(-lo_p // lo_q) - 1  # ceil(lo) - 1
+    # The stack starts as the first term's right parents <= hi, nearest on
+    # top: the integers floor(hi) down to ceil(lo) + 1, then the values c/d
+    # leaves behind in the search.
+    parents = [new(i, 1) for i in range(hi_p // hi_q, k + 1, -1)]
     a, b, c, d = k, 1, k + 1, 1
     while b + d <= max_den:
         if (a + c) * lo_q < lo_p * (b + d):
             a, b = a + c, b + d
         else:
+            if c * hi_q <= hi_p * d:
+                parents.append(new(c, d))
             c, d = a + c, b + d
 
     vertices: list[ExtendedRational] = []
     edges: list[Edge] = []
     triangles: list[Triangle] = []
-    # One object per vertex, shared by its edges and triangles.  Every
-    # vertex after the first is made as the next term of the one before
-    # it; once visited it is never met again.  Consecutive Farey terms
-    # have determinant 1, so every term is coprime.
-    new = ExtendedRational._from_coprime
-    pending = {(c, d): new(c, d)}
-
-    def rational(p: int, q: int) -> ExtendedRational:
-        v = pending.get((p, q))
-        if v is None:
-            v = pending[p, q] = new(p, q)
-        return v
-
+    # Each s_i is a Farey neighbour of x, so (p, q) is coprime with q > 0
+    # and is stored through the slots as it is.
+    make, R, set_num, set_den = object.__new__, ExtendedRational, _set_num, _set_den
+    x = new(c, d)
     while c * hi_q <= hi_p * d:
-        x = pending.pop((c, d))
         vertices.append(x)
         j = (max_den + b) // d
         a, b, c, d = c, d, j * c - a, j * d - b
-        # Now x = a/b and c/d is the next term.  x's right neighbours are
-        # c/d - i*(a, b) for i = 0 .. (d - 1) // b, in increasing order;
-        # emit those <= hi.
-        sp, sq = c, d
-        if sp * hi_q > hi_p * sq:
+        # Now x = a/b and c/d is s_0.
+        if c * hi_q > hi_p * d:
             break
-        s = rational(sp, sq)
+        k = (d - 1) // b
+        if not k:
+            edges.append((x, parents[-1]))
+            x = parents.pop()
+            continue
+        x_next = s = make(R)
+        set_num(s, c)
+        set_den(s, d)
         edges.append((x, s))
-        for _ in range((d - 1) // b):
+        built = []  # s_1 .. s_{k-1}, those <= hi
+        sp, sq = c, d
+        for _ in range(k - 1):
             sp, sq = sp - a, sq - b
             if sp * hi_q > hi_p * sq:
                 break
-            t = rational(sp, sq)
+            t = make(R)
+            set_num(t, sp)
+            set_den(t, sq)
             edges.append((x, t))
             triangles.append((x, s, t))
+            built.append(t)
             s = t
+        else:
+            if parents:  # s_k <= hi
+                t = parents[-1]
+                edges.append((x, t))
+                triangles.append((x, s, t))
+        built.reverse()
+        parents += built
+        x = x_next
 
     return Diagram(
         lo=lo,

@@ -116,9 +116,6 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
         x, y = at[id(v)] = vertex(v)
         circles.append(f'<circle cx="{x}" cy="{y}" r="{by_den[v.den][1]}"/>')
 
-    def text(v: ExtendedRational) -> tuple[str, str]:
-        return at.get(id(v)) or vertex(v)
-
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_WIDTH}" '
@@ -127,13 +124,14 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
         '<g class="edges" stroke="#999999" stroke-width="0.7" stroke-linecap="round">',
     ]
     # Edges come grouped by their left end, so look that end up once per group.
+    get, append = at.get, out.append
     left = None
     for a, b in diagram.edges:
         if a is not left:
             left = a
-            ax, ay = text(a)
-        bx, by = text(b)
-        out.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
+            ax, ay = get(id(a)) or vertex(a)
+        bx, by = get(id(b)) or vertex(b)
+        append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
     out.append("</g>")
 
     out.append('<g class="vertices" fill="#1a1a1a">')

@@ -581,45 +581,55 @@ _INTEGER_5 = ("error: funnel of the integer 5 is degenerate: the defining ray hi
 _DENSITY_401 = ("error: SVG window density 401 is above the cap of 400 "
                 "(--max-denom; funnel --svg of p/q draws at least q)\n")
 
+_TARGET_IDS = {"file": "", "missing": " in a missing dir", "dir": " onto a directory"}
+
 
 class TestEveryRefusalBeforeWork:
     """A refused SVG run neither builds nor draws a window: it ends in its
     documented exit code and one stderr line, and leaves the target as it
-    was.  {path} in a line stands for the --svg argument."""
+    was.  {path} in a line stands for the --svg argument, which is a file
+    holding "kept", a path in a missing directory or an existing
+    directory."""
 
+    _MISSING = "error: cannot write {path}: No such file or directory\n"
+    _IS_A_DIR = "error: cannot write {path}: Is a directory\n"
     ROWS = [
-        (["diagram", "--window", "0..1", "--max-denom", "400"], True, 2,
-         "error: cannot write {path}: No such file or directory\n"),
-        (["funnel", "1/400"], True, 2, "error: cannot write {path}: No such file or directory\n"),
-        (["lines", "[0;3,_,4]", "--max-denom", "400"], True, 2,
-         "error: cannot write {path}: No such file or directory\n"),
-        (["diagram", "--window", "0..1", "--max-denom", "401"], True, 3, _DENSITY_401),
-        (["funnel", "5", "--max-denom", "400"], True, 3, _INTEGER_5),
-        (["funnel", "5", "--max-denom", "400"], False, 3, _INTEGER_5),
-        (["funnel", "5", "--max-denom", "401"], False, 3, _INTEGER_5),
-        (["funnel", "1/0"], False, 3, "error: funnels are defined for finite rationals\n"),
-        (["funnel", "1/401"], False, 3, _DENSITY_401),
-        (["diagram", "--window", "0..1", "--max-denom", "401"], False, 3, _DENSITY_401),
-        (["diagram", "--window", "0..2", "--max-denom", "400"], False, 3,
+        (["diagram", "--window", "0..1", "--max-denom", "400"], "missing", 2, _MISSING),
+        (["funnel", "1/400"], "missing", 2, _MISSING),
+        (["lines", "[0;3,_,4]", "--max-denom", "400"], "missing", 2, _MISSING),
+        (["diagram", "--window", "0..1", "--max-denom", "400"], "dir", 2, _IS_A_DIR),
+        (["funnel", "1/400"], "dir", 2, _IS_A_DIR),
+        (["lines", "[0;3,_,4]", "--max-denom", "400"], "dir", 2, _IS_A_DIR),
+        (["diagram", "--window", "0..1", "--max-denom", "401"], "missing", 3, _DENSITY_401),
+        (["funnel", "5", "--max-denom", "400"], "missing", 3, _INTEGER_5),
+        (["funnel", "5", "--max-denom", "400"], "file", 3, _INTEGER_5),
+        (["funnel", "5", "--max-denom", "401"], "file", 3, _INTEGER_5),
+        (["funnel", "1/0"], "file", 3, "error: funnels are defined for finite rationals\n"),
+        (["funnel", "1/401"], "file", 3, _DENSITY_401),
+        (["diagram", "--window", "0..1", "--max-denom", "401"], "file", 3, _DENSITY_401),
+        (["diagram", "--window", "0..2", "--max-denom", "400"], "file", 3,
          "error: SVG window 0..2 at density 400 is too large: (hi - lo) * density^2 "
          "must be at most 400^2, a unit window at the cap\n"),
-        (["lines", "[0;3,_,4]", "--max-denom", "401"], False, 3, _DENSITY_401),
-        (["lines", "[0;3,_,4]", "--range=0..160000"], False, 3,
+        (["lines", "[0;3,_,4]", "--max-denom", "401"], "file", 3, _DENSITY_401),
+        (["lines", "[0;3,_,4]", "--range=0..160000"], "file", 3,
          "error: --range is too large: its number of members must be at most 400^2, "
          "a unit window at the cap\n"),
     ]
-
-    @pytest.mark.parametrize("argv, in_missing_dir, code, line", ROWS, ids=[
-        " ".join(argv) + (" in a missing dir" if missing else "") for argv, missing, _, _ in ROWS])
-    def test_refused_without_a_window(self, argv, in_missing_dir, code, line, tmp_path,
+    @pytest.mark.parametrize("argv, target_kind, code, line", ROWS, ids=[
+        " ".join(argv) + _TARGET_IDS[kind] for argv, kind, _, _ in ROWS])
+    def test_refused_without_a_window(self, argv, target_kind, code, line, tmp_path,
                                       capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("a window was built or drawn")
 
         monkeypatch.setattr(diagram, "build_diagram", boom)
         monkeypatch.setattr(figures, "render_svg", boom)
-        if in_missing_dir:
+        if target_kind == "missing":
             target = tmp_path / "missing" / "out.svg"
+        elif target_kind == "dir":
+            target = tmp_path / "out.svg"
+            target.mkdir()
+            (target / "inside").write_text("kept")
         else:
             target = tmp_path / "F.svg"
             target.write_text("kept")
@@ -627,8 +637,11 @@ class TestEveryRefusalBeforeWork:
         out, err = out_of(capsys)
         assert out == ""
         assert err == line.format(path=target)
-        if in_missing_dir:
+        if target_kind == "missing":
             assert not target.parent.exists()
+        elif target_kind == "dir":
+            assert [p.name for p in target.iterdir()] == ["inside"]
+            assert (target / "inside").read_text() == "kept"
         else:
             assert target.read_text() == "kept"
 

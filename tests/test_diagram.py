@@ -141,13 +141,27 @@ def random_window(seed: int) -> tuple[Fraction, Fraction, int]:
 
 # Windows at the edges of the start search: the longest search at the cap
 # with one vertex, no vertex at all, a search to the cap that finds no
-# vertex, integer ends at max_den 1, and one vertex at lo.
+# vertex, integer ends at max_den 1, and one vertex at lo.  Then windows
+# that seed the walk's stack of right parents each way: an integer lo, an
+# integer hi over 3 or more integers, densities 1 and 2, ends offset by
+# +-10^30, and at that offset a window with no vertex and one with one.
+_FAR = 10**30
 FIXED_WINDOWS = [
     (Fraction(999, 1000), Fraction(1), 400),
     (Fraction(1, 3), Fraction(1, 2), 1),
     (Fraction(3998, 4001), Fraction(3999, 4001), 400),
     (Fraction(-2), Fraction(3), 1),
     (Fraction(0), Fraction(1, 1000), 400),
+    (Fraction(2), Fraction(17, 5), 7),
+    (Fraction(-1), Fraction(2, 7), 9),
+    (Fraction(-7, 3), Fraction(1), 5),
+    (Fraction(-17, 4), Fraction(-1), 3),
+    (Fraction(-5, 2), Fraction(7, 3), 1),
+    (Fraction(-4, 3), Fraction(13, 5), 2),
+    (Fraction(_FAR) + Fraction(1, 3), Fraction(_FAR) + Fraction(5, 2), 7),
+    (Fraction(-_FAR) - Fraction(7, 3), Fraction(-_FAR) + Fraction(3, 4), 6),
+    (Fraction(_FAR) + Fraction(1, 3), Fraction(_FAR) + Fraction(2, 5), 2),
+    (Fraction(-_FAR) - Fraction(1, 2), Fraction(-_FAR) + Fraction(1, 3), 1),
 ]
 
 
