@@ -615,6 +615,7 @@ class TestEveryRefusalBeforeWork:
          "error: --range is too large: its number of members must be at most 400^2, "
          "a unit window at the cap\n"),
     ]
+
     @pytest.mark.parametrize("argv, target_kind, code, line", ROWS, ids=[
         " ".join(argv) + _TARGET_IDS[kind] for argv, kind, _, _ in ROWS])
     def test_refused_without_a_window(self, argv, target_kind, code, line, tmp_path,

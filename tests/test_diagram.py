@@ -144,7 +144,8 @@ def random_window(seed: int) -> tuple[Fraction, Fraction, int]:
 # vertex, integer ends at max_den 1, and one vertex at lo.  Then windows
 # that seed the walk's stack of right parents each way: an integer lo, an
 # integer hi over 3 or more integers, densities 1 and 2, ends offset by
-# +-10^30, and at that offset a window with no vertex and one with one.
+# +-10^30, at that offset a window with no vertex and one with one, and
+# a search that passes terms above hi.
 _FAR = 10**30
 FIXED_WINDOWS = [
     (Fraction(999, 1000), Fraction(1), 400),
@@ -162,6 +163,7 @@ FIXED_WINDOWS = [
     (Fraction(-_FAR) - Fraction(7, 3), Fraction(-_FAR) + Fraction(3, 4), 6),
     (Fraction(_FAR) + Fraction(1, 3), Fraction(_FAR) + Fraction(2, 5), 2),
     (Fraction(-_FAR) - Fraction(1, 2), Fraction(-_FAR) + Fraction(1, 3), 1),
+    (Fraction(2, 5), Fraction(3, 7), 7),
 ]
 
 
