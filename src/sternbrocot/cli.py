@@ -34,7 +34,8 @@ refuses a --range of more than 160,000 members.  Both are checked before
 any work and end in exit 3 with one stderr line.  Last, SVG coordinates
 are floats: a window whose ends overflow a float or whose width floats
 cannot tell from zero (such as 10^20..10^20+1) is a domain error (3) and
-writes no file.
+writes no file; it is refused after the --svg path's checks, before the
+window is built.
 """
 
 from __future__ import annotations
@@ -122,10 +123,10 @@ def _check_budget(cost, what: str) -> None:
 
 def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
     """Build the window [lo, hi] at density max_den for an SVG at path,
-    refused above the cap or, in open()'s words, when path's directory is
-    missing or path is a directory; the file itself is first opened by
-    _write_svg."""
-    from . import diagram
+    refused above the cap, then, in open()'s words, when path's directory
+    is missing or path is a directory, then when floats cannot draw it; the
+    file itself is first opened by _write_svg."""
+    from . import diagram, figures
 
     if max_den > MAX_SVG_DENOM:
         raise DomainError(
@@ -135,7 +136,8 @@ def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: 
     # A window's work grows as (hi - lo) * max_den^2, passed rounded up: the
     # budget B is an integer and x > B iff ceil(x) > B.  Windows
     # build_diagram rejects are left to it.
-    if not (lo.is_infinite or hi.is_infinite) and max_den > 0:
+    drawable = not (lo.is_infinite or hi.is_infinite) and lo < hi and max_den > 0
+    if drawable:
         width = hi.num * lo.den - lo.num * hi.den
         _check_budget(-(-width * max_den ** 2 // (lo.den * hi.den)),
                       f"SVG window {lo}..{hi} at density {max_den} is too large: "
@@ -147,6 +149,8 @@ def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: 
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     if os.path.isdir(path):
         raise UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    if drawable:
+        figures._frame(lo, hi)
     return diagram.build_diagram(lo, hi, max_den)
 
 
@@ -257,11 +261,11 @@ def _cmd_lines(args) -> str:
         overlays: list[Overlay] = [
             figures.LineOverlay(plus),
             figures.LineOverlay(minus),
-            figures.PointOverlay(tuple(map(fam.value, members))),
+            figures.PointOverlay(map(fam.value, members)),
         ]
         partner = fam.shared_line_partner()
         if partner is not None:
-            overlays.append(figures.PointOverlay(tuple(map(partner.value, members)),
+            overlays.append(figures.PointOverlay(map(partner.value, members),
                                                  color="#d4a017"))
         return _write_svg(args.svg, window, overlays)
 

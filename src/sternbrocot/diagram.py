@@ -12,7 +12,8 @@ x = a/b has next term c/d, x's right Farey neighbours are
 s_i = (c - i*a)/(d - i*b), i = 0 .. k = (d - 1) // b, in increasing order:
 s_k is x's right Farey parent (x + 1 for an integer x) and each other s_i
 is the mediant of x and s_{i+1} (Hatcher, "Topology of Numbers"), so x's
-edges (x, s_i) and triangles (x, s_{i-1}, s_i) come out in order too.
+edges (x, s_i) come out in order, in one run, and x's triangles
+(x, s_{i-1}, s_i) are read off that run's consecutive edges.
 Each vertex is one object, found without a lookup: x is the left parent
 of s_0, ..., s_{k-1}, and a vertex's leftmost left neighbour is its left
 parent, so these are first met at x and built there; only s_k exists
@@ -53,6 +54,7 @@ determinants.
 
 from __future__ import annotations
 
+from itertools import pairwise
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -87,7 +89,7 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
     vertex's right neighbours other than its right parent have it as
     their left parent, so they are built at it; its right parent is the
     top of a stack that holds its chain of right parents up to hi,
-    nearest on top.
+    nearest on top.  A vertex's triangles are its consecutive edges.
     """
     if lo.is_infinite or hi.is_infinite:
         raise DomainError("diagram windows must be finite")
@@ -114,7 +116,6 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
 
     vertices: list[ExtendedRational] = []
     edges: list[Edge] = []
-    triangles: list[Triangle] = []
     # Each s_i is a Farey neighbour of x, so (p, q) is coprime with q > 0
     # and is stored through the slots as it is.
     make, R, set_num, set_den = object.__new__, ExtendedRational, _set_num, _set_den
@@ -131,10 +132,10 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
             edges.append((x, parents[-1]))
             x = parents.pop()
             continue
-        x_next = s = make(R)
-        set_num(s, c)
-        set_den(s, d)
-        edges.append((x, s))
+        x_next = make(R)
+        set_num(x_next, c)
+        set_den(x_next, d)
+        edges.append((x, x_next))
         built = []  # s_1 .. s_{k-1}, those <= hi
         sp, sq = c, d
         for _ in range(k - 1):
@@ -145,26 +146,16 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
             set_num(t, sp)
             set_den(t, sq)
             edges.append((x, t))
-            triangles.append((x, s, t))
             built.append(t)
-            s = t
         else:
             if parents:  # s_k <= hi
-                t = parents[-1]
-                edges.append((x, t))
-                triangles.append((x, s, t))
+                edges.append((x, parents[-1]))
         built.reverse()
         parents += built
         x = x_next
 
-    return Diagram(
-        lo=lo,
-        hi=hi,
-        max_den=max_den,
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        triangles=tuple(triangles),
-    )
+    triangles = [(x, s, t) for (x, s), (y, t) in pairwise(edges) if x is y]
+    return Diagram(lo, hi, max_den, tuple(vertices), tuple(edges), tuple(triangles))
 
 
 class Funnel(_Frozen):

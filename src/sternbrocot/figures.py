@@ -6,9 +6,9 @@ SVG text: elements follow the diagram's vertex, edge and triangle order,
 which is increasing in the exact values.  One helper places every vertex
 mark, whether a diagram vertex, a funnel triangle's corner or a point
 overlay's circle: a vertex p/q is drawn at (p/q, 1/q), its x formatted
-from p/q and its y and circle radius once per denominator q.  Each
-diagram vertex is formatted once and edges reuse those texts; funnel
-corners and a point overlay's values p/q are formatted as they are met.
+from p/q and its y and circle radius once per q <= the window's max_den.
+Each diagram vertex is formatted once and edges reuse those texts; funnel
+corners and a point overlay's values, read once, are formatted as met.
 
 The styling is fixed: the window [lo, hi] x [0, 1] is drawn 720 px wide
 with a 24 px margin, and every stroke, fill and radius is a constant.  The
@@ -18,7 +18,7 @@ one choice left to callers is the colour of a point overlay.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import DomainError
 from .rationals import ExtendedRational
@@ -37,9 +37,10 @@ class LineOverlay(NamedTuple):
 
 class PointOverlay(NamedTuple):
     """The diagram vertices (p/q, 1/q) of the values p/q in the window,
-    marked in one colour; other values, and 1/0, are skipped."""
+    marked in one colour; other values, and 1/0, are skipped.  The values
+    are read once, as they are drawn."""
 
-    values: tuple[ExtendedRational, ...]
+    values: Iterable[ExtendedRational]
     color: str = "#e0218a"
 
 
@@ -78,16 +79,21 @@ def _clip(line: ExtendedLine, lo: ExtendedRational, hi: ExtendedRational):
                  for x in (left, right))
 
 
-def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] = ()) -> str:
-    # Every mark is placed by floats: refuse a window whose ends overflow
-    # them or whose width they cannot tell from zero.
+def _frame(lo: ExtendedRational, hi: ExtendedRational) -> tuple[float, float]:
+    """The float x of lo and the px per unit of [lo, hi]; every mark is placed by
+    floats, so refuse a window whose ends overflow them or whose width is 0 in them."""
     try:
-        x0 = float(diagram.lo)
-        scale = (_WIDTH - 2 * _MARGIN) / (float(diagram.hi) - x0)
+        x0 = float(lo)
+        scale = (_WIDTH - 2 * _MARGIN) / (float(hi) - x0)
     except (OverflowError, ZeroDivisionError):
         scale = math.inf
     if not math.isfinite(scale):
-        raise DomainError(f"SVG window {diagram.lo}..{diagram.hi} is beyond what floats can draw")
+        raise DomainError(f"SVG window {lo}..{hi} is beyond what floats can draw")
+    return x0, scale
+
+
+def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] = ()) -> str:
+    x0, scale = _frame(diagram.lo, diagram.hi)
     height = _fmt(2 * _MARGIN + scale)  # data y spans [0, 1]
 
     def px(x) -> str:
@@ -96,7 +102,8 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
     def py(y) -> str:
         return _fmt(_MARGIN + (1.0 - float(y)) * scale)
 
-    # The y and r texts of the vertices of denominator q.
+    # The y and r texts of the vertices of denominator q, kept for the
+    # q <= max_den that diagram vertices and funnel corners share.
     by_den: dict[int, tuple[str, str]] = {}
 
     def vertex(v: ExtendedRational) -> tuple[str, str]:
@@ -104,7 +111,9 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
         q = v.den
         yr = by_den.get(q)
         if yr is None:
-            yr = by_den[q] = (_fmt(_MARGIN + (1.0 - 1 / q) * scale), _fmt(max(1.2, 8.0 / q)))
+            yr = (_fmt(_MARGIN + (1.0 - 1 / q) * scale), _fmt(max(1.2, 8.0 / q)))
+            if q <= diagram.max_den:
+                by_den[q] = yr
         return _fmt(_MARGIN + (v.num / q - x0) * scale), yr[0]
 
     # One pass over the vertices formats each once.  Edges read their ends

@@ -33,7 +33,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .contfrac import ContinuedFraction, continuant_product, evaluate
+from .contfrac import ContinuedFraction, continuant_product, evaluate, standard_expansion
 from .errors import DomainError
 from .rationals import ExtendedRational
 
@@ -133,11 +133,11 @@ def canonical_fraction(x: ExtendedRational) -> CanonicalForm:
     its minimum is at most q/2 and the result lies in (0, 1/2]; its standard
     expansion therefore starts with a1 >= 2.  0/1 is the trivial fraction.
 
-    One Euclidean pass finds the minimum.  With r = p mod q, expand
-    r/q = [0; b1, ..., bk]; the last-but-one convergent denominator K is
-    +-p^{-1} mod q and at most q/2.  The result is the smaller of K and
-    x = min(r, q - r), each over q, with its expansion (see the module
-    docstring).
+    The expansion gives the minimum.  With r = p mod q, r/q = p/q - a0 is
+    [0; b1, ..., bk], and its last-but-one convergent denominator
+    K = C(b1, ..., b_{k-1}) is +-p^{-1} mod q and at most q/2.  The
+    result is the smaller of K and x = min(r, q - r), each over q, with
+    its expansion (see the module docstring).
     """
     if x.is_infinite:
         raise DomainError("1/0 does not classify a 2-bridge link")
@@ -146,19 +146,12 @@ def canonical_fraction(x: ExtendedRational) -> CanonicalForm:
         if x.num == 0:
             return CanonicalForm(ExtendedRational(0), ContinuedFraction((0,)))
         raise DomainError(f"nonzero integer {x} does not classify a 2-bridge link")
-    r = x.num % q
-    terms = []
-    a, b = q, r
-    k0, k1 = 0, 1  # consecutive convergent denominators of r/q
-    while b:
-        t, rem = divmod(a, b)
-        terms.append(t)
-        k0, k1 = k1, t * k1 + k0
-        a, b = b, rem
-    return _class_minimum(r, q, terms, k0)
+    terms = standard_expansion(x).terms[1:]
+    K = continuant_product(terms[:-1]).d
+    return _class_minimum(x.num % q, q, terms, K)
 
 
-def _class_minimum(r: int, q: int, terms: list[int], k: int) -> CanonicalForm:
+def _class_minimum(r: int, q: int, terms: Sequence[int], k: int) -> CanonicalForm:
     """The canonical form of the class of r/q = [0; *terms] in (0, 1), given
     its inverse-side member k in [1, q/2]."""
     low = r

@@ -258,3 +258,80 @@ def schubert_class(p: int, q: int) -> frozenset[int]:
     pm = p % q
     inv = pow(pm, -1, q)
     return frozenset({pm, q - pm, inv, q - inv})
+
+
+def farey_walk_inline(lo: Fraction, hi: Fraction, n: int):
+    """The window of F_n over [lo, hi] as (p, q) pairs: its vertices, edges
+    and triangles in the order of build_diagram's walk, with each triangle
+    (x, s_{i-1}, s_i) appended as the walk meets s_i rather than read off
+    the edges afterwards; a differential reference for that order."""
+    lo_p, lo_q, hi_p, hi_q = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    k = -(-lo_p // lo_q) - 1
+    parents = [(i, 1) for i in range(hi_p // hi_q, k + 1, -1)]
+    a, b, c, d = k, 1, k + 1, 1
+    while b + d <= n:
+        if (a + c) * lo_q < lo_p * (b + d):
+            a, b = a + c, b + d
+        else:
+            if c * hi_q <= hi_p * d:
+                parents.append((c, d))
+            c, d = a + c, b + d
+    vertices, edges, triangles = [], [], []
+    x = (c, d)
+    while c * hi_q <= hi_p * d:
+        vertices.append(x)
+        j = (n + b) // d
+        a, b, c, d = c, d, j * c - a, j * d - b
+        if c * hi_q > hi_p * d:
+            break
+        k = (d - 1) // b
+        if not k:
+            edges.append((x, parents[-1]))
+            x = parents.pop()
+            continue
+        x_next = s = (c, d)
+        edges.append((x, s))
+        built = []
+        sp, sq = c, d
+        for _ in range(k - 1):
+            sp, sq = sp - a, sq - b
+            if sp * hi_q > hi_p * sq:
+                break
+            t = (sp, sq)
+            edges.append((x, t))
+            triangles.append((x, s, t))
+            built.append(t)
+            s = t
+        else:
+            if parents:
+                t = parents[-1]
+                edges.append((x, t))
+                triangles.append((x, s, t))
+        built.reverse()
+        parents += built
+        x = x_next
+    return vertices, edges, triangles
+
+
+def canonical_by_euclid(p: int, q: int) -> tuple[int, tuple[int, ...]]:
+    """The Schubert class minimum of p/q (q >= 2) over q and its expansion
+    (0, a1, ...), by one Euclidean pass over r/q, r = p mod q, that keeps
+    the convergent denominators beside the quotients: the last but one,
+    K, is +-p^{-1} mod q."""
+    r = p % q
+    terms = []
+    a, b = q, r
+    k0, k1 = 0, 1
+    while b:
+        t, rem = divmod(a, b)
+        terms.append(t)
+        k0, k1 = k1, t * k1 + k0
+        a, b = b, rem
+    low = r
+    if terms[0] == 1:
+        low = q - r
+        terms = [terms[1] + 1, *terms[2:]]
+    if k0 < low:
+        low = k0
+        terms = terms[::-1]
+    return low, (0, *terms)

@@ -175,6 +175,22 @@ class TestLinesCommand:
             expected.setdefault(head, set()).update(lines)
         assert {head: set(lines) for head, lines in drawn} == expected
 
+    def test_svg_keeps_nothing_per_member(self, tmp_path, capsys):
+        import tracemalloc
+
+        def peak(members: str) -> int:
+            tracemalloc.start()
+            try:
+                assert run(["lines", "[0;_,3]", f"--range={members}",
+                            "--svg", str(tmp_path / "F.svg")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("-10..10")  # loads the modules the run imports
+        # 160,000 member values are read once, as they are drawn.
+        assert peak("-80000..79999") - peak("-10..10") < 2_000_000
+
     def test_svg_makes_no_plane_point_per_member(self, tmp_path, capsys, monkeypatch):
         from sternbrocot import lines
 
@@ -582,6 +598,17 @@ _DENSITY_401 = ("error: SVG window density 401 is above the cap of 400 "
                 "(--max-denom; funnel --svg of p/q draws at least q)\n")
 
 _TARGET_IDS = {"file": "", "missing": " in a missing dir", "dir": " onto a directory"}
+# Windows floats cannot draw, each with the window its refusal names.
+_FLOAT_RANGE_REFUSALS = [
+    (["diagram", "--window", f"{10**20}..{10**20 + 1}", "--max-denom", "2"],
+     f"{10**20}..{10**20 + 1}"),
+    (["diagram", "--window", f"1/3..{10**17 + 1}/{3 * 10**17}", "--max-denom", "2"],
+     f"1/3..{10**17 + 1}/{3 * 10**17}"),
+    (["funnel", f"{2 * 10**20 + 1}/2"], f"{10**20}..{10**20 + 1}"),
+    (["lines", f"[{10**20};_]"], f"{10**20}..{10**20 + 1}"),
+    (["diagram", "--window", f"{10**400}..{10**400 + 1}"], f"{10**400}..{10**400 + 1}"),
+    (["diagram", "--window", f"0..1/{10**320}", "--max-denom", "1"], f"0..1/{10**320}"),
+]
 
 
 class TestEveryRefusalBeforeWork:
@@ -614,10 +641,13 @@ class TestEveryRefusalBeforeWork:
         (["lines", "[0;3,_,4]", "--range=0..160000"], "file", 3,
          "error: --range is too large: its number of members must be at most 400^2, "
          "a unit window at the cap\n"),
+        *[(argv, "file", 3, f"error: SVG window {window} is beyond what floats can draw\n")
+          for argv, window in _FLOAT_RANGE_REFUSALS],
     ]
 
     @pytest.mark.parametrize("argv, target_kind, code, line", ROWS, ids=[
-        " ".join(argv) + _TARGET_IDS[kind] for argv, kind, _, _ in ROWS])
+        " ".join(a if len(a) < 40 else f"{a[:16]}...{a[-16:]}" for a in argv) + _TARGET_IDS[kind]
+        for argv, kind, _, _ in ROWS])
     def test_refused_without_a_window(self, argv, target_kind, code, line, tmp_path,
                                       capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -704,14 +734,9 @@ class TestSvgFloatRange:
     """A window whose ends overflow a float, or whose width floats cannot
     tell from zero, is refused before any file is opened."""
 
-    @pytest.mark.parametrize("argv", [
-        ["diagram", "--window", f"{10**20}..{10**20 + 1}", "--max-denom", "2"],
-        ["diagram", "--window", f"1/3..{10**17 + 1}/{3 * 10**17}", "--max-denom", "2"],
-        ["funnel", f"{2 * 10**20 + 1}/2"],
-        ["lines", f"[{10**20};_]"],
-        ["diagram", "--window", f"{10**400}..{10**400 + 1}"],
-        ["diagram", "--window", f"0..1/{10**320}", "--max-denom", "1"],
-    ], ids=["unit-1e20", "no-vertex", "funnel", "lines", "overflow", "infinite-scale"])
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _FLOAT_RANGE_REFUSALS],
+                             ids=["unit-1e20", "no-vertex", "funnel", "lines", "overflow",
+                                  "infinite-scale"])
     def test_is_exit_3_and_writes_nothing(self, argv, tmp_path, capsys):
         target = tmp_path / "out.svg"
         assert run(argv + ["--svg", str(target)]) == 3

@@ -25,6 +25,7 @@ from oracles import (
     brute_farey_edges,
     brute_farey_triples,
     farey_det,
+    farey_walk_inline,
     gcd_scan_vertices,
     nu_frac,
     ray_funnel_triangles,
@@ -202,6 +203,62 @@ class TestWindowOrder:
         assert any(math.floor(hi) - math.ceil(lo) >= 2 for lo, hi, _ in windows)
         assert {1, 2, 3} <= {m for _, _, m in windows}
         assert any(m >= 60 for _, _, m in windows)
+
+
+def differential_window(rng: random.Random) -> tuple[Fraction, Fraction, int]:
+    """A window of about 0.3 * 400 vertices at most: integer ends up to
+    density 20, fractional ends up to density 200, or a window of a
+    vertex p/q of F_n, q <= n, that holds p/q alone or nothing, since
+    p/q's Farey neighbours in F_n lie at least 1/(q n) away.  Ends are
+    offset by 0 or +-10^30."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        width = rng.randint(1, 3)
+        n = rng.randint(1, math.isqrt(400 // width))
+        lo = Fraction(rng.randint(-4, 4))
+        hi = lo + width
+    else:
+        n = rng.randint(1, 200)
+        if kind == 1:
+            q0 = rng.randint(1, 2 * n)
+            lo = Fraction(rng.randint(-3 * q0, 3 * q0), q0)
+            hi = lo + Fraction(rng.randint(1, 400), n * n)
+        else:
+            q = rng.randint(1, n)
+            p = rng.randint(-3 * q, 3 * q)
+            while math.gcd(p, q) != 1:
+                p += 1
+            v, gap = Fraction(p, q), Fraction(1, q * n)
+            lo, hi = (v - gap / 2, v + rng.choice((0, gap / 2))) if kind == 2 else (
+                v + gap / 4, v + gap / 2)
+    offset = rng.choice((0, 0, _FAR, -_FAR))
+    return lo + offset, hi + offset, n
+
+
+class TestTrianglesFromEdges:
+    """build_diagram reads each vertex's triangles off its consecutive
+    edges; the walk that appends them as it goes gives the same vertices,
+    edges and triangles in the same order."""
+
+    def test_seeded_windows_match_the_inline_walk(self):
+        rng = random.Random(34)
+        sizes = {0: 0, 1: 0}
+        for _ in range(5000):
+            lo, hi, n = differential_window(rng)
+            d = build_diagram(R(lo.numerator, lo.denominator), R(hi.numerator, hi.denominator), n)
+            verts, edges, tris = farey_walk_inline(lo, hi, n)
+
+            def pair(v):
+                return v.num, v.den
+
+            assert [pair(v) for v in d.vertices] == verts, (lo, hi, n)
+            assert [tuple(map(pair, e)) for e in d.edges] == edges, (lo, hi, n)
+            assert [tuple(map(pair, t)) for t in d.triangles] == tris, (lo, hi, n)
+            shared = {id(v) for v in d.vertices}
+            assert all(id(v) in shared for t in d.triangles for v in t), (lo, hi, n)
+            if len(verts) in sizes:
+                sizes[len(verts)] += 1
+        assert sizes[0] > 500 and sizes[1] > 500
 
 
 class TestFunnel:

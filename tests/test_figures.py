@@ -98,6 +98,13 @@ def test_point_overlay_draws_only_the_values_in_the_window(lo, hi, inside, outsi
     assert all(24 - 1e-9 <= x <= 696 + 1e-9 for x in xs)
 
 
+def test_point_overlay_values_are_read_once():
+    d = small_diagram()
+    values = [R(m, 2 * m + 1) for m in range(-20, 21)] + [INFINITY, R(1, 3)]
+    once = PointOverlay(v for v in values)
+    assert render_svg(d, [once]) == render_svg(d, [PointOverlay(tuple(values))])
+
+
 def test_funnel_overlay_draws_strip_and_ray():
     d = small_diagram()
     f = funnel(R(2, 7))

@@ -16,7 +16,8 @@ from sternbrocot import (
     schubert_equivalent,
 )
 from sternbrocot.links import Hand, Row
-from oracles import frac_of, matrix_eval_pair, recursive_pair, schubert_class
+from oracles import (canonical_by_euclid, frac_of, matrix_eval_pair, recursive_pair,
+                     schubert_class)
 
 R = ExtendedRational
 CF = ContinuedFraction
@@ -218,6 +219,22 @@ class TestCanonicalFractionOracle:
             for sign in (1, -1):
                 assert_canonical_matches_oracle(sign * p, q)
                 assert_canonical_matches_oracle(sign * (q - p), q)
+
+
+class TestCanonicalFractionFromExpansion:
+    def test_matches_one_euclidean_pass_up_to_q_10_to_the_30(self):
+        # K is read off the standard expansion; one Euclidean pass that
+        # keeps the convergent denominators gives the same form.
+        rng = random.Random(34)
+        for _ in range(100_000):
+            q = rng.randint(2, 10 ** rng.randint(1, 30))
+            p = rng.randint(-3 * q, 3 * q)
+            while gcd(p, q) != 1:
+                p += 1
+            canon = canonical_fraction(R(p, q))
+            low, terms = canonical_by_euclid(p, q)
+            assert (canon.fraction.num, canon.fraction.den, canon.sequence.terms) == (
+                low, q, terms), (p, q)
 
 
 class TestLinkFamily:
