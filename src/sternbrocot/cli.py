@@ -22,10 +22,11 @@ windows are drawn at density at most MAX_SVG_DENOM = 400 (--max-denom;
 `funnel --svg` of p/q draws at max(--max-denom, q)), and no window may
 cost more than a unit window at that cap: (hi - lo) * density^2 <= 400^2,
 so `diagram --window 0..2` is drawn up to density 282 and `-1000..1000`
-up to density 8.  A denser or wider window is a domain error (3) and writes
-no file; all three SVG commands refuse it before any funnel, member value
-or overlay is built, and then refuse an --svg path in a missing directory
-or one that is itself a directory (2) before the window is built.  The
+up to density 8.  A denser or wider window, or one that build_diagram
+refuses, is a domain error (3) and writes no file; all three SVG commands
+refuse it before any funnel, member value or overlay is built, and then
+refuse an --svg path in a missing directory or one that is itself a
+directory (2) before the window is built.  The
 same budget, 400^2 = 160,000, bounds the two commands whose work grows
 with an input's value: `funnel` of p/q refuses a strip of more than
 160,000 triangles (a_1 + ... + a_n - 1 for its standard expansion, so
@@ -122,10 +123,10 @@ def _check_budget(cost, what: str) -> None:
 
 
 def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
-    """Build the window [lo, hi] at density max_den for an SVG at path,
-    refused above the cap, then, in open()'s words, when path's directory
-    is missing or path is a directory, then when floats cannot draw it; the
-    file itself is first opened by _write_svg."""
+    """Build the window [lo, hi] at density max_den for an SVG at path, refused
+    above the cap, then as build_diagram would, then above the budget, then in
+    open()'s words when path's directory is missing or path is a directory, then
+    when floats cannot draw it; the file itself is first opened by _write_svg."""
     from . import diagram, figures
 
     if max_den > MAX_SVG_DENOM:
@@ -133,15 +134,13 @@ def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: 
             f"SVG window density {max_den} is above the cap of {MAX_SVG_DENOM} "
             "(--max-denom; funnel --svg of p/q draws at least q)"
         )
+    diagram._check_window(lo, hi, max_den)
     # A window's work grows as (hi - lo) * max_den^2, passed rounded up: the
-    # budget B is an integer and x > B iff ceil(x) > B.  Windows
-    # build_diagram rejects are left to it.
-    drawable = not (lo.is_infinite or hi.is_infinite) and lo < hi and max_den > 0
-    if drawable:
-        width = hi.num * lo.den - lo.num * hi.den
-        _check_budget(-(-width * max_den ** 2 // (lo.den * hi.den)),
-                      f"SVG window {lo}..{hi} at density {max_den} is too large: "
-                      "(hi - lo) * density^2")
+    # budget B is an integer and x > B iff ceil(x) > B.
+    width = hi.num * lo.den - lo.num * hi.den
+    _check_budget(-(-width * max_den ** 2 // (lo.den * hi.den)),
+                  f"SVG window {lo}..{hi} at density {max_den} is too large: "
+                  "(hi - lo) * density^2")
     directory = (os.path.dirname(path) or os.curdir) if path else ""
     try:  # the trailing separator makes stat refuse a file as the directory
         os.stat(os.path.join(directory, ""))
@@ -149,8 +148,7 @@ def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: 
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     if os.path.isdir(path):
         raise UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-    if drawable:
-        figures._frame(lo, hi)
+    figures._frame(lo, hi)
     return diagram.build_diagram(lo, hi, max_den)
 
 
@@ -249,7 +247,6 @@ def _cmd_lines(args) -> str:
     lo, hi = _parse_range(args.range)
     _check_budget(hi - lo + 1, "--range is too large: its number of members")
     plus, minus = fam.line_pair()
-    root = fam.denominator_root()
     members = range(lo, hi + 1)
 
     if args.svg is not None:
@@ -275,7 +272,7 @@ def _cmd_lines(args) -> str:
                 "gamma": str(fam.anchor_x),
                 "P": list(fam.num_coeffs),
                 "Q": list(fam.den_coeffs),
-                "root": str(root),
+                "root": str(fam.denominator_root()),
                 "line_plus": {
                     "anchor": _point_json(plus.anchor),
                     "through": _point_json(plus.through),
@@ -292,7 +289,7 @@ def _cmd_lines(args) -> str:
         f"gamma   {fam.anchor_x}",
         f"P(m)    {_coeff_text(fam.num_coeffs)}",
         f"Q(m)    {_coeff_text(fam.den_coeffs)}",
-        f"root    {root}" + ("  (n=1: root at 0)" if fam.degree == 1 else ""),
+        f"root    {fam.denominator_root()}" + ("  (n=1: root at 0)" if fam.degree == 1 else ""),
         f"line+   through ({fam.anchor_x}, 0) and {plus.through}, slope {plus.slope}",
         f"line-   mirror image, slope {minus.slope}",
         *([] if partner is None else [f"partner {_hole_text(partner)} shares the line pair"]),

@@ -78,6 +78,16 @@ class Diagram(NamedTuple):
     triangles: tuple[Triangle, ...]
 
 
+def _check_window(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> None:
+    """Refuse a window build_diagram cannot walk."""
+    if lo.is_infinite or hi.is_infinite:
+        raise DomainError("diagram windows must be finite")
+    if not lo < hi:
+        raise DomainError("empty window: need lo < hi")
+    if max_den < 1:
+        raise DomainError("max_den must be positive")
+
+
 def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
     """Walk the Farey sequence F_max_den from its first term >= lo to hi.
 
@@ -91,13 +101,7 @@ def build_diagram(lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> D
     top of a stack that holds its chain of right parents up to hi,
     nearest on top.  A vertex's triangles are its consecutive edges.
     """
-    if lo.is_infinite or hi.is_infinite:
-        raise DomainError("diagram windows must be finite")
-    if not lo < hi:
-        raise DomainError("empty window: need lo < hi")
-    if max_den < 1:
-        raise DomainError("max_den must be positive")
-
+    _check_window(lo, hi, max_den)
     lo_p, lo_q, hi_p, hi_q = lo.num, lo.den, hi.num, hi.den
     new = ExtendedRational._from_coprime
     k = -(-lo_p // lo_q) - 1  # ceil(lo) - 1

@@ -17,12 +17,13 @@ shifted horizontally by a0.  All vertices (N/D, 1/D) lie on one extended
 line through the anchor (gamma, 0), gamma = a0 + t/u, and the actual
 diagram vertices land on that line when D(m) > 0 and on its mirror image
 across the x-axis when D(m) < 0; D(m) = 0 puts the point at infinity.
-D is strictly increasing (u*w > 0), and its real root lies in (-2, 0) --
-in (-1, 0) when i = 1.  Since N(m)*u - t*D(m) = +-w, the vertex sits at
-(+-w, u) / (u*D(m)) from the anchor, so its squared distance to the anchor
-is (w^2 + u^2) / (u*D(m))^2, which shrinks strictly along both tails.
-Everything is computed from these integers; ExtendedRational appears only
-in returned values.
+D is strictly increasing (u*w > 0); its real root lies in (-2, 0), and
+in (-1, 0) when i = 1, for n >= 2, and is 0 for n = 1.  LineFamily checks
+these bounds once, when it is made.  Since N(m)*u - t*D(m) = +-w, the
+vertex sits at (+-w, u) / (u*D(m)) from the anchor, so its squared
+distance to the anchor is (w^2 + u^2) / (u*D(m))^2, which shrinks
+strictly along both tails.  Everything is computed from these integers;
+ExtendedRational appears only in returned values.
 """
 
 from __future__ import annotations
@@ -169,11 +170,20 @@ class LineFamily(_Frozen):
         v, w = continuant_product(terms[slot + 1:]).column(1)
         if min(r, t, s, u, v, w) < 0:
             raise InvariantViolation("negative entry in a standard prefix/suffix product")
-        if u * w <= 0:
+        c1, c0 = u * w, s * w + u * v
+        if c1 <= 0:
             raise InvariantViolation("denominator form must be strictly increasing")
+        # D's root is -c0/c1; for n = 1 it is 0, and the distance profile needs [-2, 0].
+        if n >= 2 and not 0 < c0 < 2 * c1:
+            raise InvariantViolation(f"root {ExtendedRational(-c0, c1)} of D outside (-2, 0)")
+        if n >= 2 and slot == 1 and not c0 < c1:
+            raise InvariantViolation(f"root {ExtendedRational(-c0, c1)} outside (-1, 0) "
+                                     "with slot 1")
+        if n == 1 and c0 > 2 * c1:
+            raise InvariantViolation(f"root {ExtendedRational(-c0, c1)} of D outside [-2, 0]")
         # N(m) = num_coeffs[0]*m + num_coeffs[1], D(m) likewise; (t, u) is a
         # column of a matrix of determinant +-1, so a0*u + t and u are coprime.
-        self._store(base, slot, (t * w, r * w + t * v), (u * w, s * w + u * v),
+        self._store(base, slot, (t * w, r * w + t * v), (c1, c0),
                     ExtendedRational._from_coprime(terms[0] * u + t, u))
 
     def __reduce__(self):
@@ -207,8 +217,8 @@ class LineFamily(_Frozen):
     def side(self, m: int) -> Side:
         """Which of the two lines carries the vertex: the sign of D(m).
 
-        Guaranteed PLUS for m >= 0 and MINUS for m <= -2; the sign at
-        m = -1 depends on the family and is simply reported.
+        Guaranteed PLUS for m >= 1, and at m = 0 unless n = 1 (INFINITE), and
+        MINUS for m <= -2; the sign at m = -1 depends on the family.
         """
         d = self.denominator_at(m)
         if d > 0:
@@ -227,16 +237,10 @@ class LineFamily(_Frozen):
         """The real root of D; in (-2, 0) for n >= 2 and (-1, 0) when i = 1.
 
         For n = 1 the root is exactly 0 (the one family shape whose m = 0
-        member is infinite).
+        member is infinite).  The constructor checks these bounds.
         """
-        c1, c0 = self.den_coeffs  # root -c0/c1 with c1 > 0
-        root = ExtendedRational(-c0, c1)
-        if self.degree >= 2:
-            if not 0 < c0 < 2 * c1:
-                raise InvariantViolation(f"root {root} of D outside (-2, 0)")
-            if self.slot == 1 and not c0 < c1:
-                raise InvariantViolation(f"root {root} outside (-1, 0) with slot 1")
-        return root
+        c1, c0 = self.den_coeffs
+        return ExtendedRational(-c0, c1)
 
     def squared_distance_profile(
         self, count: int
@@ -245,26 +249,21 @@ class LineFamily(_Frozen):
         and m = -1..-count; None marks infinite members (D(m) = 0).
 
         Each is the closed form (w^2 + u^2) / (u*D(m))^2, u = anchor_x.den and
-        w = den_coeffs[0] // u.  The numerator is constant, so the strict
-        decrease over the finite entries on m >= 0 and on m <= -2 is
-        re-checked as a strict increase of |D(m)|.
+        w = den_coeffs[0] // u.  The numerator is constant, and the root
+        bounds the constructor checks make |D(m)| strictly increase on
+        m >= 0 and on m <= -2, so the finite entries strictly decrease there.
         """
         if count < 2:
             raise DomainError("need count >= 2")
         u = self.anchor_x.den
         w = self.den_coeffs[0] // u
         top = w * w + u * u
-        pos_d = [self.denominator_at(m) for m in range(0, count + 1)]
-        neg_d = [self.denominator_at(m) for m in range(-1, -count - 1, -1)]
-        for label, tail in (("m>=0", pos_d), ("m<=-2", neg_d[1:])):
-            finite = [abs(d) for d in tail if d]
-            if not all(a < b for a, b in zip(finite, finite[1:])):
-                raise InvariantViolation(f"squared distances not decreasing on {label}")
 
-        def sq(d: int) -> ExtendedRational | None:
+        def sq(m: int) -> ExtendedRational | None:
+            d = self.denominator_at(m)
             return ExtendedRational(top, (u * d) ** 2) if d else None
 
-        return tuple(map(sq, pos_d)), tuple(map(sq, neg_d))
+        return tuple(map(sq, range(0, count + 1))), tuple(map(sq, range(-1, -count - 1, -1)))
 
     def shared_line_partner(self) -> "LineFamily | None":
         """The other family with the same line pair, when one exists.

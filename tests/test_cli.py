@@ -638,6 +638,13 @@ class TestEveryRefusalBeforeWork:
          "error: SVG window 0..2 at density 400 is too large: (hi - lo) * density^2 "
          "must be at most 400^2, a unit window at the cap\n"),
         (["lines", "[0;3,_,4]", "--max-denom", "401"], "file", 3, _DENSITY_401),
+        # build_diagram's own refusals come before the --svg path's checks.
+        (["diagram", "--window", "1..0"], "missing", 3, "error: empty window: need lo < hi\n"),
+        (["diagram", "--window", "1/0..1"], "file", 3, "error: diagram windows must be finite\n"),
+        (["diagram", "--window", "0..1", "--max-denom", "0"], "dir", 3,
+         "error: max_den must be positive\n"),
+        (["lines", "[0;3,_,4]", "--max-denom", "0"], "missing", 3,
+         "error: max_den must be positive\n"),
         (["lines", "[0;3,_,4]", "--range=0..160000"], "file", 3,
          "error: --range is too large: its number of members must be at most 400^2, "
          "a unit window at the cap\n"),

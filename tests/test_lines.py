@@ -10,13 +10,13 @@ from sternbrocot import (
     INFINITY,
     IntMat2,
     InvariantViolation,
-    LineFamily,
     PlanePoint,
     Side,
     continuant_product,
     evaluate,
     is_farey_pair,
     line_family,
+    link_family,
     vertex_point,
 )
 from oracles import frac_of, matrix_eval_pair, nu_frac
@@ -238,19 +238,6 @@ class TestDistanceProfile:
                 products.add(d2 * q * q)
             assert len(products) == 1
 
-    def test_non_monotone_tails_are_refused(self, monkeypatch):
-        # Forms that no standard sequence gives, planted in a built family;
-        # each breaks the strict decrease on its own tail.
-        fam = fam_0_3_m_4()
-        fam.squared_distance_profile(8)
-        for den, label in ((lambda m: m - 5, "m>=0"),    # shrinks in size on m >= 0
-                           (lambda m: m + 5, "m<=-2"),   # passes through 0 on m <= -2
-                           (lambda m: 7, "m>=0"),        # equal is not a decrease
-                           (lambda m: -2 if m == -3 else m, "m<=-2")):  # ties at m = -2, -3
-            monkeypatch.setattr(LineFamily, "denominator_at", lambda self, m: den(m))
-            with pytest.raises(InvariantViolation, match=label):
-                fam.squared_distance_profile(8)
-
     def test_rejects_short_profiles(self):
         with pytest.raises(DomainError):
             fam_0_3_m_4().squared_distance_profile(1)
@@ -306,16 +293,26 @@ class TestRunTimeGuards:
             line_family(CF((0, 3, 1, 4)), 2)
 
     @pytest.mark.parametrize("matrix, seq, slot, message", [
-        # D(m) = m + 2 and D(m) = m: roots -2 and 0 on degree 2.
+        # D(m) = m + 2, m and m + 5: roots -2, 0 and -5 on degree 2.
         (IntMat2(1, 0, 2, 1), (0, 3, 4), 2, r"root -2 of D outside \(-2, 0\)"),
         (IntMat2(1, 0, 0, 1), (0, 3, 4), 2, r"root 0 of D outside \(-2, 0\)"),
+        (IntMat2(1, 0, 5, 1), (0, 3, 4), 2, r"root -5 of D outside \(-2, 0\)"),
         # D(m) = m + 1: root -1 is allowed for slot 2 but not for slot 1.
         (IntMat2(1, 0, 1, 1), (0, 3, 4), 1, r"root -1 outside \(-1, 0\) with slot 1"),
+        # D(m) = m + 3 on n = 1: a root below -2 breaks the decrease on m <= -2.
+        (IntMat2(1, 0, 3, 1), (0, 3), 1, r"root -3 of D outside \[-2, 0\]"),
     ])
     def test_a_root_outside_its_interval_is_refused(self, products, matrix, seq, slot, message):
         products(matrix)
         with pytest.raises(InvariantViolation, match=message):
-            line_family(CF(seq), slot).denominator_root()
+            line_family(CF(seq), slot)
+
+    def test_a_link_family_checks_its_line_family(self, products):
+        # link_family never asks for the root; the family's constructor
+        # checks it all the same.
+        products(IntMat2(1, 0, 2, 1))
+        with pytest.raises(InvariantViolation, match=r"root -2 of D outside \(-2, 0\)"):
+            link_family(CF((0, 3, 4)), 2, range(-2, 3))
 
     @pytest.mark.parametrize("matrix, seq, slot, root", [
         (IntMat2(1, 0, 1, 1), (0, 3, 4), 2, R(-1)),
