@@ -32,11 +32,9 @@ with an input's value: `funnel` of p/q refuses a strip of more than
 160,000 triangles (a_1 + ... + a_n - 1 for its standard expansion, so
 `funnel 1/160001` runs and `funnel 1/160002` does not), and `lines`
 refuses a --range of more than 160,000 members.  Both are checked before
-any work and end in exit 3 with one stderr line.  Last, SVG coordinates
-are floats: a window whose ends overflow a float or whose width floats
-cannot tell from zero (such as 10^20..10^20+1) is a domain error (3) and
-writes no file; it is refused after the --svg path's checks, before the
-window is built.
+any work and end in exit 3 with one stderr line.  Last, a window whose
+scale (672 px over its width) overflows a float, such as 0..1/10^320, is
+a domain error (3), refused with the window's other checks.
 """
 
 from __future__ import annotations
@@ -124,9 +122,9 @@ def _check_budget(cost, what: str) -> None:
 
 def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: int) -> Diagram:
     """Build the window [lo, hi] at density max_den for an SVG at path, refused
-    above the cap, then as build_diagram would, then above the budget, then in
-    open()'s words when path's directory is missing or path is a directory, then
-    when floats cannot draw it; the file itself is first opened by _write_svg."""
+    above the cap, then as build_diagram would, then above the budget, then when
+    its scale overflows a float, then in open()'s words when path's directory is
+    missing or path is a directory; the file itself is first opened by _write_svg."""
     from . import diagram, figures
 
     if max_den > MAX_SVG_DENOM:
@@ -141,6 +139,7 @@ def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: 
     _check_budget(-(-width * max_den ** 2 // (lo.den * hi.den)),
                   f"SVG window {lo}..{hi} at density {max_den} is too large: "
                   "(hi - lo) * density^2")
+    figures._frame(lo, hi)
     directory = (os.path.dirname(path) or os.curdir) if path else ""
     try:  # the trailing separator makes stat refuse a file as the directory
         os.stat(os.path.join(directory, ""))
@@ -148,7 +147,6 @@ def _svg_window(path: str, lo: ExtendedRational, hi: ExtendedRational, max_den: 
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     if os.path.isdir(path):
         raise UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-    figures._frame(lo, hi)
     return diagram.build_diagram(lo, hi, max_den)
 
 

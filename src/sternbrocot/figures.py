@@ -1,12 +1,14 @@
 """Deterministic SVG rendering of diagram windows with overlays.
 
 All geometry stays exact until attribute emission, where coordinates are
-written with 6 significant digits.  Identical inputs produce byte-identical
-SVG text: elements follow the diagram's vertex, edge and triangle order,
-which is increasing in the exact values.  One helper places every vertex
-mark, whether a diagram vertex, a funnel triangle's corner or a point
-overlay's circle: a vertex p/q is drawn at (p/q, 1/q), its x formatted
-from p/q and its y and circle radius once per q <= the window's max_den.
+written with 6 significant digits: an x is placed by its exact offset from
+lo, rounded once, so shifting every input by an integer leaves the SVG
+byte-identical.  Identical inputs produce byte-identical SVG text: elements
+follow the diagram's vertex, edge and triangle order, which is increasing
+in the exact values.  One helper places every vertex mark, whether a
+diagram vertex, a funnel triangle's corner or a point overlay's circle: a
+vertex p/q is drawn at (p/q, 1/q), its x formatted from p/q - lo and its
+y and circle radius once per q <= the window's max_den.
 Each diagram vertex is formatted once and edges reuse those texts; funnel
 corners and a point overlay's values, read once, are formatted as met.
 
@@ -17,7 +19,6 @@ one choice left to callers is the colour of a point overlay.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import DomainError
@@ -79,25 +80,22 @@ def _clip(line: ExtendedLine, lo: ExtendedRational, hi: ExtendedRational):
                  for x in (left, right))
 
 
-def _frame(lo: ExtendedRational, hi: ExtendedRational) -> tuple[float, float]:
-    """The float x of lo and the px per unit of [lo, hi]; every mark is placed by
-    floats, so refuse a window whose ends overflow them or whose width is 0 in them."""
+def _frame(lo: ExtendedRational, hi: ExtendedRational) -> float:
+    """The px per unit of [lo, hi], 672 px over its width, as one correctly
+    rounded integer division; refuse a window too narrow for a float scale."""
     try:
-        x0 = float(lo)
-        scale = (_WIDTH - 2 * _MARGIN) / (float(hi) - x0)
+        return (_WIDTH - 2 * _MARGIN) * lo.den * hi.den / (hi.num * lo.den - lo.num * hi.den)
     except (OverflowError, ZeroDivisionError):
-        scale = math.inf
-    if not math.isfinite(scale):
-        raise DomainError(f"SVG window {lo}..{hi} is beyond what floats can draw")
-    return x0, scale
+        raise DomainError(f"SVG window {lo}..{hi} is beyond what floats can draw") from None
 
 
 def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] = ()) -> str:
-    x0, scale = _frame(diagram.lo, diagram.hi)
+    scale = _frame(diagram.lo, diagram.hi)
     height = _fmt(2 * _MARGIN + scale)  # data y spans [0, 1]
+    ln, ld, hn, hd = diagram.lo.num, diagram.lo.den, diagram.hi.num, diagram.hi.den
 
     def px(x) -> str:
-        return _fmt(_MARGIN + (float(x) - x0) * scale)
+        return _fmt(_MARGIN + (x.num * ld - ln * x.den) / (x.den * ld) * scale)
 
     def py(y) -> str:
         return _fmt(_MARGIN + (1.0 - float(y)) * scale)
@@ -114,7 +112,7 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
             yr = (_fmt(_MARGIN + (1.0 - 1 / q) * scale), _fmt(max(1.2, 8.0 / q)))
             if q <= diagram.max_den:
                 by_den[q] = yr
-        return _fmt(_MARGIN + (v.num / q - x0) * scale), yr[0]
+        return _fmt(_MARGIN + (v.num * ld - ln * q) / (q * ld) * scale), yr[0]
 
     # One pass over the vertices formats each once.  Edges read their ends
     # back by identity; an end that is not one of the vertex objects,
@@ -171,7 +169,6 @@ def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] =
             # 1/0, stored as (1, 0), fails p*hd <= hn*q and has no vertex.
             # Family members pile up at the anchor: each distinct circle is
             # written once, in the order it is first met.
-            ln, ld, hn, hd = diagram.lo.num, diagram.lo.den, diagram.hi.num, diagram.hi.den
             marks = (vertex(v) for v in ov.values
                      if ln * v.den <= v.num * ld and v.num * hd <= hn * v.den)
             out.extend(dict.fromkeys(f'<circle cx="{x}" cy="{y}" r="3"/>' for x, y in marks))

@@ -598,17 +598,9 @@ _DENSITY_401 = ("error: SVG window density 401 is above the cap of 400 "
                 "(--max-denom; funnel --svg of p/q draws at least q)\n")
 
 _TARGET_IDS = {"file": "", "missing": " in a missing dir", "dir": " onto a directory"}
-# Windows floats cannot draw, each with the window its refusal names.
-_FLOAT_RANGE_REFUSALS = [
-    (["diagram", "--window", f"{10**20}..{10**20 + 1}", "--max-denom", "2"],
-     f"{10**20}..{10**20 + 1}"),
-    (["diagram", "--window", f"1/3..{10**17 + 1}/{3 * 10**17}", "--max-denom", "2"],
-     f"1/3..{10**17 + 1}/{3 * 10**17}"),
-    (["funnel", f"{2 * 10**20 + 1}/2"], f"{10**20}..{10**20 + 1}"),
-    (["lines", f"[{10**20};_]"], f"{10**20}..{10**20 + 1}"),
-    (["diagram", "--window", f"{10**400}..{10**400 + 1}"], f"{10**400}..{10**400 + 1}"),
-    (["diagram", "--window", f"0..1/{10**320}", "--max-denom", "1"], f"0..1/{10**320}"),
-]
+# The window whose scale, 672 px over its width, overflows a float.
+_NO_SCALE = ["diagram", "--window", f"0..1/{10**320}", "--max-denom", "1"]
+_NO_SCALE_LINE = f"error: SVG window 0..1/{10**320} is beyond what floats can draw\n"
 
 
 class TestEveryRefusalBeforeWork:
@@ -648,8 +640,8 @@ class TestEveryRefusalBeforeWork:
         (["lines", "[0;3,_,4]", "--range=0..160000"], "file", 3,
          "error: --range is too large: its number of members must be at most 400^2, "
          "a unit window at the cap\n"),
-        *[(argv, "file", 3, f"error: SVG window {window} is beyond what floats can draw\n")
-          for argv, window in _FLOAT_RANGE_REFUSALS],
+        # A window whose scale overflows is refused with the window's checks.
+        *[(_NO_SCALE, kind, 3, _NO_SCALE_LINE) for kind in ("file", "missing", "dir")],
     ]
 
     @pytest.mark.parametrize("argv, target_kind, code, line", ROWS, ids=[
@@ -738,19 +730,43 @@ class TestSvgWindowSizeCap:
 
 
 class TestSvgFloatRange:
-    """A window whose ends overflow a float, or whose width floats cannot
-    tell from zero, is refused before any file is opened."""
+    """A window whose scale overflows a float is refused before any file is
+    opened; any other window is drawn by each mark's exact offset from lo,
+    so one shifted by an integer is drawn byte for byte as its twin."""
 
-    @pytest.mark.parametrize("argv", [argv for argv, _ in _FLOAT_RANGE_REFUSALS],
-                             ids=["unit-1e20", "no-vertex", "funnel", "lines", "overflow",
-                                  "infinite-scale"])
+    @pytest.mark.parametrize("argv", [_NO_SCALE], ids=["infinite-scale"])
     def test_is_exit_3_and_writes_nothing(self, argv, tmp_path, capsys):
         target = tmp_path / "out.svg"
         assert run(argv + ["--svg", str(target)]) == 3
         out, err = out_of(capsys)
         assert out == ""
-        assert err.startswith("error: SVG window ") and err.count("\n") == 1
+        assert err == _NO_SCALE_LINE
         assert not target.exists()
+
+    @pytest.mark.parametrize("argv, twin", [
+        (["diagram", "--window", f"{10**20}..{10**20 + 1}", "--max-denom", "2"],
+         ["diagram", "--window", "0..1", "--max-denom", "2"]),
+        (["diagram", "--window", f"1/3..{10**17 + 1}/{3 * 10**17}", "--max-denom", "2"], None),
+        (["funnel", f"{2 * 10**20 + 1}/2"], ["funnel", "1/2"]),
+        (["lines", f"[{10**20};_]"], ["lines", "[0;_]"]),
+        (["diagram", "--window", f"{10**400}..{10**400 + 1}"], ["diagram", "--window", "0..1"]),
+        (["lines", f"[{10**15};3,_,4]"], ["lines", "[0;3,_,4]"]),
+        (["funnel", f"{3 * 10**16 + 13}/30"], ["funnel", "13/30"]),
+        (["diagram", "--window", f"{10**21}..{10**21 + 1}"], ["diagram", "--window", "0..1"]),
+    ], ids=["unit-1e20", "no-vertex", "funnel", "lines", "overflow", "lines-1e15",
+            "funnel-1e15", "unit-1e21"])
+    def test_is_drawn_as_its_twin(self, argv, twin, tmp_path, capsys):
+        target = tmp_path / "out.svg"
+        assert run(argv + ["--svg", str(target)]) == 0
+        svg = target.read_text()
+        assert svg.startswith("<?xml") and svg.endswith("</svg>\n")
+        if twin is None:
+            assert "0 vertices" in out_of(capsys)[0]
+            assert "<circle" not in svg
+        else:
+            assert run(twin + ["--svg", str(tmp_path / "twin.svg")]) == 0
+            # Lines, not one string, keep a failure's report short.
+            assert (tmp_path / "twin.svg").read_text().splitlines() == svg.splitlines()
 
     def test_a_window_at_2_to_the_52_is_drawn(self, tmp_path, capsys):
         target = tmp_path / "out.svg"
@@ -850,10 +866,10 @@ class TestValueBoundedWork:
 
 # Fuzz vocabulary: small values, plus edge tokens that some commands must
 # refuse: degenerate or negative values, malformed text, an integer past
-# the digit limit, ranges and windows above the budget, and a unit window
-# that floats cannot draw.
+# the digit limit, ranges and windows above the budget, a unit window far
+# from 0 and a window whose scale overflows a float.
 _BAD = ["0/0", "1/0", "-1", "-5/3", "garbage", "[0;", "_", "9" * 5000,
-        "0..10000000", "-99999999..99999999", f"{10**20}..{10**20 + 1}"]
+        "0..10000000", "-99999999..99999999", f"{10**20}..{10**20 + 1}", f"0..1/{10**320}"]
 _SMALL = st.one_of(st.integers(-5, 5).map(str),
                    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 20)))
 _VALUE = st.one_of(_SMALL, st.sampled_from(_BAD))

@@ -119,9 +119,87 @@ def test_an_unknown_overlay_is_a_type_error():
         render_svg(small_diagram(), ["circle"])
 
 
-def test_a_window_floats_cannot_tell_apart_is_a_domain_error():
-    with pytest.raises(DomainError, match="SVG window"):
-        render_svg(build_diagram(R(10**20), R(10**20 + 1), 2))
+def test_a_unit_window_at_10_to_the_20_draws_as_the_one_at_0():
+    far, near = (render_svg(build_diagram(R(a), R(a + 1), 2)) for a in (10**20, 0))
+    assert far == near
+
+
+def test_a_window_whose_scale_overflows_a_float_is_a_domain_error():
+    with pytest.raises(DomainError, match=f"SVG window 0..1/{10**320} is beyond"):
+        render_svg(build_diagram(R(0), R(1, 10**320), 2))
+
+
+def test_a_window_of_width_zero_is_a_domain_error():
+    with pytest.raises(DomainError, match="SVG window 1..1 is beyond"):
+        render_svg(Diagram(R(1), R(1), 1, (), (), ()))
+
+
+class TestExactFrame:
+    """x is placed by its exact offset from lo, so adding an integer k to
+    the window, the funnel's alpha and the family's a0 moves every mark by
+    exactly k and leaves the SVG byte-identical."""
+
+    @staticmethod
+    def shifted(x, k):
+        return R(x.num + k * x.den, x.den)
+
+    @classmethod
+    def figure(cls, case, k):
+        lo, hi, density, alpha, terms, slot = case
+        fam = line_family(ContinuedFraction((terms[0] + k, *terms[1:])), slot)
+        plus, minus = fam.line_pair()
+        return render_svg(build_diagram(cls.shifted(lo, k), cls.shifted(hi, k), density), [
+            LineOverlay(plus), LineOverlay(minus),
+            PointOverlay(fam.value(m) for m in range(-30, 31)),
+            FunnelOverlay(funnel(cls.shifted(alpha, k))),
+        ])
+
+    @staticmethod
+    def cases(rng, count):
+        """Windows inside [a0, a0 + 1], half with an integer lo, ends of
+        denominator <= 100, with a family led by a0 and an alpha inside."""
+        for i in range(count):
+            a0 = rng.randint(-3, 3)
+            q = rng.randint(2, 100)
+            ends = sorted(rng.sample(range(q + 1), 2))
+            if i % 2 == 0:
+                ends[0] = 0
+            lo, hi = (R(a0 * q + e, q) for e in ends)
+            aq = rng.randint(2, 60)
+            alpha = R(a0 * aq + rng.randint(1, aq - 1), aq)
+            n = rng.randint(2, 5)
+            terms = (a0, *(rng.randint(1, 6) for _ in range(n - 1)), rng.randint(2, 6))
+            yield lo, hi, rng.randint(1, 120), alpha, terms, rng.randint(1, n - 1)
+
+    def test_an_integer_shift_leaves_the_svg_byte_identical(self):
+        for case in self.cases(random.Random(36), 24):
+            base = self.figure(case, 0)
+            assert 'class="funnel"' in base
+            for k in (-7, 10**15, 10**21, 10**400):
+                # Lines, not one string, keep a failure's report short.
+                assert self.figure(case, k).splitlines() == base.splitlines(), (case, k)
+
+    def test_marks_lie_where_fractions_put_them(self):
+        lo, hi = R(1, 3), R(5, 7)
+        d = build_diagram(lo, hi, 30)
+        fam = line_family(ContinuedFraction((0, 1, 2, 3)), 3)
+        lines = [LineOverlay(line) for line in fam.line_pair()]
+        f = funnel(R(3, 7))
+        root = ET.fromstring(render_svg(d, [*lines, FunnelOverlay(f)]))
+        segments = [_clip(ov.line, lo, hi) for ov in lines]
+        assert all(segments)
+        # Each <line> gives x1 then x2 and each circle its cx, in document
+        # order: edges, vertices, then the overlays.
+        expected = [*(x for e in d.edges for x in e), *d.vertices,
+                    *(x for seg in segments for x, _ in seg), f.alpha, f.alpha]
+        drawn = [float(el.get(attr)) for el in root.iter() for attr in ("cx", "x1", "x2")
+                 if el.get(attr) is not None]
+        assert len(drawn) == len(expected)
+        width = frac_of(hi) - frac_of(lo)
+        for x, got in zip(expected, drawn):
+            assert abs(got - (24 + 672 * (frac_of(x) - frac_of(lo)) / width)) < 0.01
+        first = 2 * len(d.edges)
+        assert (drawn[first], drawn[first + len(d.vertices) - 1]) == (24, 696)
 
 
 def test_coordinates_use_six_significant_digits():
