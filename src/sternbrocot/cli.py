@@ -10,8 +10,9 @@ full device, a closed pipe), 3 domain error, 4 internal invariant
 violation (a failed theorem clause is an implementation bug).  Each
 subcommand returns its stdout text and run() prints it once, on success,
 so exits 2 and 3 leave stdout empty, apart from what a failed stdout
-write got through; exit 4 keeps the funnel report that names the failed
-clause.
+write got through.  Before exit 4, funnel prints the report naming the
+failed clause.  All writes but --help go through _write, so a stderr
+that cannot be written changes no exit code and costs no stdout.
 
 Four limits keep every run bounded and end in those codes.  Integers pass
 between text and int only up to Python's int/text digit limit
@@ -40,6 +41,7 @@ a domain error (3), refused with the window's other checks.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import re
@@ -60,6 +62,31 @@ if TYPE_CHECKING:
 
 class UsageError(Exception):
     """A well-formed argument the command cannot act on (exit code 2)."""
+
+
+def _write(text: str, err: bool = False) -> bool:
+    """Print and flush text on stdout, or stderr if err; say whether it worked.
+    A failed write points the stream's descriptor, if any, at os.devnull for
+    the flush at exit, and a failed stdout write is reported on stderr.  A
+    stream Python could not open at start-up (None) takes nothing, as in print."""
+    stream = sys.stderr if err else sys.stdout
+    if stream is None:
+        return True
+    try:
+        print(text, file=stream, flush=True)
+    except OSError as exc:
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+        if not err:
+            _write(f"error: cannot write stdout: {exc.strerror or exc}", err=True)
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse before 3.11 lets a failed write raise
+        _write(f"{self.format_usage()}{self.prog}: error: {message}", err=True)
+        self.exit(2)
 
 
 # Densest window an SVG command draws.  A unit window at density N has
@@ -224,10 +251,10 @@ def _cmd_funnel(args) -> str:
             *clauses,
         ])
     if args.json or args.svg is not None:
-        print("\n".join(clauses), file=sys.stderr)
+        _write("\n".join(clauses), err=True)
     if not report.all_passed:
-        # The report names the failed clause, so exit 4 keeps it.
-        raise InvariantViolation(f"funnel theorem failed for {f.expansion}", stdout=out)
+        _write(out)  # the report names the failed clause, so exit 4 keeps it
+        raise InvariantViolation(f"funnel theorem failed for {f.expansion}")
     return out
 
 
@@ -338,7 +365,7 @@ def _cmd_link_eq(args) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sternbrocot",
         description="Exact continued fractions, Stern-Brocot funnels, "
         "line families, and 2-bridge link fractions.",
@@ -412,39 +439,18 @@ def _merge_window_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _write_stdout(out: str) -> bool:
-    """Print out; if the write fails, say so on stderr and return False."""
-    try:
-        print(out, flush=True)
-    except OSError as exc:
-        # Send what is still buffered to os.devnull, or the exit flush fails again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
-
-
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_merge_window_values(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_merge_window_values(argv))
     try:
         out = args.func(args)
-    except (ParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (ParseError, UsageError, DomainError) as exc:
+        _write(f"error: {exc}", err=True)
+        return 3 if isinstance(exc, DomainError) else 2
     except InvariantViolation as exc:
-        if exc.stdout is not None:
-            _write_stdout(exc.stdout)
-        print(f"internal error: {exc}", file=sys.stderr)
+        _write(f"internal error: {exc}", err=True)
         return 4
-    return 0 if _write_stdout(out) else 2
+    return 0 if _write(out) else 2
 
 
 def main() -> None:

@@ -34,10 +34,4 @@ class DegenerateFunnelError(DomainError):
 
 
 class InvariantViolation(RuntimeError):
-    """A proved identity failed to hold; always an implementation bug.
-
-    stdout, if not None, is the report naming the failure, for the CLI to print."""
-
-    def __init__(self, message: str, stdout: str | None = None):
-        super().__init__(message)
-        self.stdout = stdout
+    """A proved identity failed to hold; always an implementation bug."""

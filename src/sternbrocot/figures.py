@@ -90,6 +90,15 @@ def _frame(lo: ExtendedRational, hi: ExtendedRational) -> float:
 
 
 def render_svg(diagram: Diagram, overlays: tuple[Overlay, ...] | list[Overlay] = ()) -> str:
+    """The SVG text of the window with the overlays drawn over it.
+
+    Drawn in this order: a white background, the diagram's edges, its
+    vertices, then each overlay in the order given (a funnel's triangles
+    and its dashed ray, a line's segment inside the window, a point
+    overlay's distinct circles in the order first met).  The output is
+    deterministic: identical arguments give byte-identical text.  Raises
+    DomainError for a window whose scale overflows a float, such as
+    0..1/10^320, and TypeError for an object that is not an overlay."""
     scale = _frame(diagram.lo, diagram.hi)
     height = _fmt(2 * _MARGIN + scale)  # data y spans [0, 1]
     ln, ld, hn, hd = diagram.lo.num, diagram.lo.den, diagram.hi.num, diagram.hi.den

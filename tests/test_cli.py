@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sternbrocot import (ContinuedFraction, ExtendedRational, IntMat2, cli, diagram, figures,
-                         line_family)
+from sternbrocot import (ContinuedFraction, ExtendedRational, IntMat2, InvariantViolation, cli,
+                         diagram, figures, line_family)
 from sternbrocot.cli import MAX_SVG_DENOM, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -350,6 +352,63 @@ class TestUnwritableStdout:
             assert len(os.listdir("/proc/self/fd")) == before
 
 
+class TestUnwritableStderr:
+    """A stderr that cannot be written, a pipe its reader closed or a
+    descriptor closed before the run starts, changes no exit code and costs
+    no stdout: each run ends as it does with a working stderr.  Run as
+    processes, since both failures are the interpreter's own streams."""
+
+    ENV = TestUnwritableStdout.ENV
+
+    @staticmethod
+    def run(argv, stderr):
+        """Exit code and stdout of `python argv` with stderr "working", a
+        "closed pipe", or "closed" (descriptor 2 closed before the exec)."""
+        argv = [sys.executable, *argv]
+        if stderr == "closed":
+            argv = ["sh", "-c", 'exec "$@" 2>&-', "sh", *argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "wb") as closed_pipe:
+            proc = subprocess.run(argv, env=TestUnwritableStderr.ENV, stdout=subprocess.PIPE,
+                                  stderr=closed_pipe if stderr == "closed pipe" else subprocess.PIPE,
+                                  timeout=60)
+        return proc.returncode, proc.stdout
+
+    @pytest.mark.parametrize("stderr", ["closed pipe", "closed"])
+    @pytest.mark.parametrize("argv, code, shown", [
+        (["-m", "sternbrocot", "funnel", "2/7", "--json"], 0, b'"base": "2/7"'),
+        (["-m", "sternbrocot", "funnel", "13/30", "--svg", "SVG"], 0, b"wrote "),
+        (["-m", "sternbrocot", "eval", "[0;1"], 2, b""),
+        (["-m", "sternbrocot", "expand", "1/0"], 3, b""),
+        (["-c", TestUnwritableStdout.DROP_ONE_THIRD, "funnel", "2/7"], 4,
+         b"clause (end indices): FAIL"),
+    ], ids=["funnel-json", "funnel-svg", "eval", "expand", "exit-4-report"])
+    def test_the_run_ends_as_with_a_working_stderr(self, argv, code, shown, stderr, tmp_path):
+        if stderr == "closed" and shutil.which("sh") is None:
+            pytest.skip("no sh on this system")
+        svg, draws = tmp_path / "funnel.svg", "SVG" in argv
+        argv = [str(svg) if arg == "SVG" else arg for arg in argv]
+        got = self.run(argv, stderr)
+        assert got == self.run(argv, "working")
+        assert got[0] == code and shown in got[1]
+        assert code in (0, 4) or got[1] == b""
+        assert not draws or (got[1] == f"wrote {svg}\n".encode() and svg.exists())
+
+    def test_stdout_and_stderr_on_one_closed_pipe(self):
+        # As under `2>&1 | head -1` once head has exited: the report is more
+        # than a pipe holds, the stdout write fails, and so does its error line.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "sternbrocot", "lines", "[0;3,_,4]",
+                                   "--range=-3000..3000"],
+                                  env=self.ENV, stdout=write_end, stderr=write_end, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+
+
 class TestDigitLimit:
     """Integers longer than Python's int/text digit limit end in a one-line
     error: exit 2 on input, exit 3 on output, and nothing on stdout, even
@@ -530,6 +589,11 @@ class TestInternalErrorExit:
             assert "clause (end indices): FAIL" in out
             assert err == "internal error: funnel theorem failed for [0;3,2]\n"
         assert "Traceback" not in out + err
+
+    def test_an_invariant_violation_carries_only_its_message(self):
+        # The funnel command itself writes the report that exit 4 keeps.
+        with pytest.raises(TypeError):
+            InvariantViolation("x", stdout="y")
 
 
 class TestFunnelBuiltOnce:
@@ -917,13 +981,20 @@ def _argv(draw, svg):
     return argv + (draw(st.sampled_from([["--bogus"], ["7"]])) if draw(st.integers(0, 9)) == 0 else [])
 
 
+class _BrokenPipe(io.StringIO):
+    """A stream whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
 class TestFuzzRun:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_every_run_ends_in_a_documented_exit_code(self, data, tmp_path):
         argv = data.draw(_argv(str(tmp_path / "fuzz.svg")))
-        out, err = io.StringIO(), io.StringIO()
+        out, err = io.StringIO(), data.draw(st.sampled_from([io.StringIO, _BrokenPipe]))()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = run(argv)

@@ -3,6 +3,7 @@ import binds them all to the same objects.  Names are loaded from their
 submodules on first use, and read through to them every time."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -48,6 +49,13 @@ def test_each_public_name_is_its_defining_submodules_object():
         home = obj.__module__
         assert home.startswith("sternbrocot."), name
         assert obj is getattr(importlib.import_module(home), name), name
+
+
+def test_every_public_function_has_its_own_docstring():
+    undocumented = [name for name in sternbrocot.__all__
+                    if inspect.isfunction(fn := getattr(sternbrocot, name))
+                    and not (fn.__doc__ or "").strip()]
+    assert undocumented == []
 
 
 def test_unknown_name_raises_attribute_error_naming_it():
